@@ -45,10 +45,12 @@ test-gen:
 test-project:
 	dune exec test/test_project.exe
 
-# binary wire codec tests: the binary ≡ JSON differential round-trips
-# (trees with whitespace-only leaves, patterns, every envelope), the
-# 64 MiB max_frame rejection path, and codec negotiation end-to-end
-# against binary-capable, JSON-pinned and pre-binary peers
+# binary wire codec tests: randomized round-trips (trees with
+# whitespace-only leaves, patterns modulo pids, every envelope), one
+# golden frame per envelope pinning the byte layout, the 64 MiB
+# max_frame rejection path, a server answering an unflagged (JSON-era)
+# Hello with an error and a close, and capability negotiation
+# end-to-end against full and pre-capability peers
 test-wire-bin:
 	dune exec test/test_net.exe -- test wire-binary
 
@@ -129,9 +131,9 @@ bench-e12-smoke:
 	dune exec bench/main.exe -- e12smoke
 
 # the CI-sized E13: one event-loop server, 64 raw concurrent
-# connections on the city workload, asserting binary-framed answers
-# byte-identical to JSON with strictly fewer wire bytes and
-# binary wall <= JSON wall
+# connections on the city workload at 2 and 8 client threads,
+# asserting every reply equals an in-process Registry.invoke of the
+# same request (an oracle that never goes through the codec)
 bench-e13-smoke:
 	dune exec bench/main.exe -- e13smoke
 

@@ -1006,8 +1006,7 @@ let e10 () =
    live heap kwords after a forced major collection at the end of the
    run. *)
 
-let e11_wire_bytes tr =
-  String.length (Axml_obs.Json.to_string (Axml_net.Wire.tree_to_json tr))
+let e11_wire_bytes tr = String.length (Axml_net.Wire.tree_to_binary tr)
 
 let e11_arm ~make ~project =
   (* fresh instance per arm: evaluation expands the document in place *)
@@ -1269,15 +1268,14 @@ let e12smoke () =
 
 (* ------------------------------------------------------------------ *)
 (* E13: event-loop server under connection pressure — one server, raw
-   concurrent connections in the thousands, binary vs JSON framing on
-   the city workload. Every connection handshakes (always JSON), then
-   issues [rounds] gethotels requests; the binary arms advertise
-   cap_binary and so negotiate the binary codec. Clients speak through
-   raw fds with blocking Wire.send/recv (NOT the Client pool, whose
-   health check selects — fd *values* past 1024 are exactly what the
-   epoll loop exists for). Asserted invariants: every reply in every
-   arm is byte-identical (serialized forest digest), and binary moves
-   strictly fewer wire bytes. *)
+   concurrent connections in the thousands on the city workload. Every
+   connection handshakes, then issues [rounds] gethotels requests.
+   Clients speak through raw fds with blocking Wire.send/recv (NOT the
+   Client pool, whose health check selects — fd *values* past 1024 are
+   exactly what the epoll loop exists for). Asserted invariant: every
+   reply in every arm serializes to the same forest as an in-process
+   [Registry.invoke] of the same request on a freshly generated
+   instance — an oracle that never goes through the codec. *)
 
 module Wire = Axml_net.Wire
 
@@ -1286,54 +1284,54 @@ type e13_result = {
   e13_wall : float;  (* seconds for the request phase *)
   e13_bytes : int;  (* request-phase wire bytes, both directions *)
   e13_alloc : float;  (* bytes allocated process-wide during the arm *)
-  e13_digest : string;  (* digest of the (identical) serialized replies *)
   e13_requests : int;
 }
 
 let e13_cfg hotels =
   (* all-intensional: gethotels answers with every hotel subtree, a
-     meaty forest whose encoding cost is what the codecs compete on *)
+     meaty forest whose encoding cost dominates each exchange *)
   { City.default_config with City.hotels = hotels; seed = 7; extensional_fraction = 0.0 }
 
-let e13_arm ~port ~binary ~conns ~threads ~rounds =
-  let caps =
-    if binary then [ Wire.cap_project; Wire.cap_binary ] else [ Wire.cap_project ]
-  in
-  let invoke id =
-    Wire.Invoke
-      { id; service = "gethotels"; params = [ Axml_xml.Tree.text "NY" ]; push = None }
-  in
+let e13_params = [ Axml_xml.Tree.text "NY" ]
+let e13_digest forest = Digest.string (Axml_xml.Print.forest_to_string forest)
+
+(* The oracle: the reply digest of the same request invoked in-process. *)
+let e13_expected hotels =
+  let inst = City.generate (e13_cfg hotels) in
+  let forest, _ = Registry.invoke inst.City.registry ~name:"gethotels" ~params:e13_params () in
+  e13_digest forest
+
+let e13_arm ~port ~expect ~conns ~threads ~rounds =
+  let invoke id = Wire.Invoke { id; service = "gethotels"; params = e13_params; push = None } in
   let alloc0 = Gc.allocated_bytes () in
   let dial () =
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
     let scr = Wire.scratch () in
-    ignore (Wire.send ~scratch:scr fd (Wire.Hello { version = Wire.version; caps }));
+    ignore
+      (Wire.send ~scratch:scr fd
+         (Wire.Hello { version = Wire.version; caps = [ Wire.cap_project ] }));
     match Wire.recv ~scratch:scr fd with
-    | Wire.Welcome { caps = server_caps; _ }, _ ->
-      let codec =
-        if binary && List.mem Wire.cap_binary server_caps then Wire.Binary else Wire.Json
-      in
-      (fd, codec, scr, ref 0)
+    | Wire.Welcome _, _ -> (fd, scr, ref 0)
     | _ -> failwith "e13: handshake failed"
   in
   let pool, e13_setup = wall (fun () -> Array.init conns (fun _ -> dial ())) in
   Fun.protect
     ~finally:(fun () ->
-      Array.iter
-        (fun (fd, _, _, _) -> try Unix.close fd with Unix.Unix_error _ -> ())
-        pool)
+      Array.iter (fun (fd, _, _) -> try Unix.close fd with Unix.Unix_error _ -> ()) pool)
     (fun () ->
-      let exchange (fd, codec, scr, next) =
+      let exchange (fd, scr, next) =
         incr next;
-        let sent = Wire.send ~codec ~scratch:scr fd (invoke !next) in
+        let sent = Wire.send ~scratch:scr fd (invoke !next) in
         match Wire.recv ~scratch:scr fd with
         | Wire.Result { id; forest; _ }, got when id = !next ->
-          (sent + got, Digest.string (Axml_xml.Print.forest_to_string forest))
+          if e13_digest forest <> expect then
+            failwith "e13: reply differs from the in-process invocation";
+          sent + got
         | _ -> failwith "e13: unexpected reply"
       in
-      (* one untimed probe pins the expected answer for the whole arm *)
-      let _, e13_digest = exchange pool.(0) in
+      (* one untimed probe warms the server before the clock starts *)
+      ignore (exchange pool.(0));
       let bytes_total = Atomic.make 0 in
       let errors = Atomic.make [] in
       let run_thread t () =
@@ -1341,12 +1339,7 @@ let e13_arm ~port ~binary ~conns ~threads ~rounds =
           let local = ref 0 in
           for _ = 1 to rounds do
             Array.iteri
-              (fun i conn ->
-                if i mod threads = t then begin
-                  let b, d = exchange conn in
-                  if d <> e13_digest then failwith "e13: reply differs within arm";
-                  local := !local + b
-                end)
+              (fun i conn -> if i mod threads = t then local := !local + exchange conn)
               pool
           done;
           ignore (Atomic.fetch_and_add bytes_total !local)
@@ -1363,11 +1356,13 @@ let e13_arm ~port ~binary ~conns ~threads ~rounds =
         e13_wall;
         e13_bytes = Atomic.get bytes_total;
         e13_alloc = Gc.allocated_bytes () -. alloc0;
-        e13_digest;
         e13_requests = conns * rounds;
       })
 
-let e13_sweep ~title ~hotels ~conns ~threads_list ~rounds =
+(* One server, one arm per client-thread count. Raises (through
+   [e13_arm]) when any reply departs from the in-process oracle. *)
+let e13_sweep ~hotels ~conns ~threads_list ~rounds =
+  let expect = e13_expected hotels in
   let served = City.generate (e13_cfg hotels) in
   let server = Server.create ~registry:served.City.registry () in
   Server.start server;
@@ -1375,95 +1370,42 @@ let e13_sweep ~title ~hotels ~conns ~threads_list ~rounds =
     ~finally:(fun () -> Server.stop server)
     (fun () ->
       let port = Server.port server in
-      let arms =
-        List.concat_map
-          (fun threads ->
-            List.map
-              (fun binary ->
-                ((binary, threads), e13_arm ~port ~binary ~conns ~threads ~rounds))
-              [ false; true ])
-          threads_list
-      in
-      let _, base = List.hd arms in
-      List.iter
-        (fun (_, r) ->
-          (* the acceptance bar: every arm answers byte-identically *)
-          assert (r.e13_digest = base.e13_digest))
-        arms;
-      let rows =
-        List.map
-          (fun ((binary, threads), r) ->
-            [
-              (if binary then "binary" else "json");
-              string_of_int threads;
-              string_of_int conns;
-              string_of_int r.e13_requests;
-              secs r.e13_setup;
-              secs r.e13_wall;
-              Printf.sprintf "%.2f" (float_of_int r.e13_bytes /. 1048576.0);
-              Printf.sprintf "%.1f" (r.e13_alloc /. 1048576.0);
-              Printf.sprintf "%.0f" (float_of_int r.e13_requests /. Float.max 1e-9 r.e13_wall);
-            ])
-          arms
-      in
-      print_table ~title
-        ~header:
-          [ "wire"; "threads"; "conns"; "requests"; "setup(s)"; "wall(s)"; "wire(MB)"; "alloc(MB)"; "req/s" ]
-        rows;
-      arms)
+      List.map
+        (fun threads -> (threads, e13_arm ~port ~expect ~conns ~threads ~rounds))
+        threads_list)
 
 let e13 () =
-  let arms =
-    e13_sweep
-      ~title:"E13: 2000 concurrent connections through one event-loop server (24 hotels)"
-      ~hotels:24 ~conns:2000 ~threads_list:[ 4; 16 ] ~rounds:2
-  in
-  List.iter
-    (fun threads ->
-      let find binary = List.assoc (binary, threads) arms in
-      let j = find false and b = find true in
-      if b.e13_bytes >= j.e13_bytes then begin
-        Printf.eprintf "e13: binary moved %d B >= json %d B at %d threads\n" b.e13_bytes
-          j.e13_bytes threads;
-        exit 1
-      end)
-    [ 4; 16 ]
+  let conns = 2000 in
+  let arms = e13_sweep ~hotels:24 ~conns ~threads_list:[ 4; 16 ] ~rounds:2 in
+  print_table
+    ~title:"E13: 2000 concurrent connections through one event-loop server (24 hotels)"
+    ~header:
+      [ "threads"; "conns"; "requests"; "setup(s)"; "wall(s)"; "wire(MB)"; "alloc(MB)"; "req/s" ]
+    (List.map
+       (fun (threads, r) ->
+         [
+           string_of_int threads;
+           string_of_int conns;
+           string_of_int r.e13_requests;
+           secs r.e13_setup;
+           secs r.e13_wall;
+           Printf.sprintf "%.2f" (float_of_int r.e13_bytes /. 1048576.0);
+           Printf.sprintf "%.1f" (r.e13_alloc /. 1048576.0);
+           Printf.sprintf "%.0f" (float_of_int r.e13_requests /. Float.max 1e-9 r.e13_wall);
+         ])
+       arms)
 
-(* The CI-sized variant: 64 connections, 8 client threads, best of two
-   runs per arm (the smoke assertion is about codec cost, not scheduler
-   noise), hard-asserting byte-identical answers, strictly fewer wire
-   bytes, and binary wall <= JSON wall. *)
+(* The CI-sized variant: 64 connections at 2 and 8 client threads,
+   every reply checked against the in-process oracle. *)
 let e13smoke () =
-  let served = City.generate (e13_cfg 12) in
-  let server = Server.create ~registry:served.City.registry () in
-  Server.start server;
-  Fun.protect
-    ~finally:(fun () -> Server.stop server)
-    (fun () ->
-      let port = Server.port server in
-      let run binary = e13_arm ~port ~binary ~conns:64 ~threads:8 ~rounds:4 in
-      let j1 = run false in
-      let b1 = run true in
-      let j2 = run false in
-      let b2 = run true in
-      if j1.e13_digest <> b1.e13_digest then begin
-        Printf.eprintf "e13smoke: binary and json answers differ\n";
-        exit 1
-      end;
-      if b1.e13_bytes >= j1.e13_bytes then begin
-        Printf.eprintf "e13smoke: binary moved %d B >= json %d B\n" b1.e13_bytes
-          j1.e13_bytes;
-        exit 1
-      end;
-      let jw = Float.min j1.e13_wall j2.e13_wall in
-      let bw = Float.min b1.e13_wall b2.e13_wall in
-      if bw > jw then begin
-        Printf.eprintf "e13smoke: binary wall %.3fs > json wall %.3fs\n" bw jw;
-        exit 1
-      end;
-      Printf.printf
-        "e13smoke: ok (binary %.3fs <= json %.3fs, %d B < %d B, answers identical)\n" bw jw
-        b1.e13_bytes j1.e13_bytes)
+  match e13_sweep ~hotels:12 ~conns:64 ~threads_list:[ 2; 8 ] ~rounds:4 with
+  | arms ->
+    Printf.printf "e13smoke: ok (%d replies in %d arms match the in-process invocation)\n"
+      (List.fold_left (fun acc (_, r) -> acc + r.e13_requests) 0 arms)
+      (List.length arms)
+  | exception Failure m ->
+    Printf.eprintf "e13smoke: %s\n" m;
+    exit 1
 
 (* ------------------------------------------------------------------ *)
 (* E14: intra-document parallel match/detect. One Skewed_fanout

@@ -233,29 +233,17 @@ let connect_arg =
            and per-attempt socket timeouts; push-capable remote services evaluate pushed \
            subqueries provider-side.")
 
-let wire_conv = Arg.enum [ ("binary", `Auto); ("json", `Json) ]
-
-let wire_arg =
-  Arg.(
-    value
-    & opt wire_conv `Auto
-    & info [ "wire" ] ~docv:"CODEC"
-        ~doc:
-          "Frame codec for peer traffic: $(b,binary) (the default) negotiates the compact \
-           binary codec in the capability handshake, falling back to JSON against peers \
-           that predate it; $(b,json) pins every frame to JSON.")
-
 (* Dial each peer and register what it advertises. Local registrations
    (from --services) win on name clashes because register_remote refuses
    duplicates — so only register names not already present. *)
-let connect_peers ?(jobs = 1) ?(wire = `Auto) registry endpoints =
+let connect_peers ?(jobs = 1) registry endpoints =
   try
     Ok
       (List.concat_map
          (fun (host, port) ->
            (* Size each peer's connection pool to the worker count, so
               concurrent batch invocations don't fight over sockets. *)
-           let client = Client.create ~pool_size:(max 4 jobs) ~wire ~host ~port () in
+           let client = Client.create ~pool_size:(max 4 jobs) ~host ~port () in
            let advertised =
              List.map (fun (s : Axml_net.Wire.service_info) -> s.Axml_net.Wire.name)
                (Client.services client ())
@@ -376,13 +364,13 @@ let build_sched ~shards ~replicas ~balance ~registry ~regen =
    own client, connection pool and registry), id HOST:PORT. A defeat on
    one peer re-routes to the next through the scheduler. When the run
    also has local services, they go on a "local" shard listed first. *)
-let connect_replicas ~jobs ~wire ~balance ~local_registry ~local_names connect =
+let connect_replicas ~jobs ~balance ~local_registry ~local_names connect =
   try
     let specs =
       List.map
         (fun (host, port) ->
           let id = Printf.sprintf "%s:%d" host port in
-          let client = Client.create ~pool_size:(max 4 jobs) ~wire ~host ~port () in
+          let client = Client.create ~pool_size:(max 4 jobs) ~host ~port () in
           let registry = Registry.create () in
           (* register dials, which settles the handshake caps *)
           let names = Remote.register ~registry client in
@@ -819,7 +807,7 @@ let generate_cmd =
 
 (* ---------------- eval (user files) ---------------- *)
 
-let eval_files verbose doc_path schema_path services_path connect wire strategy push fguide
+let eval_files verbose doc_path schema_path services_path connect strategy push fguide
     project xml flwr jobs match_jobs shards replicas balance fault_rate fault_seed max_retries
     timeout trace_out metrics_out report_json query_src =
   setup_logs verbose;
@@ -864,7 +852,7 @@ let eval_files verbose doc_path schema_path services_path connect wire strategy 
           (String.concat ", " foreign)
       else
         match
-          if replica_peers then Ok [] else connect_peers ~jobs:eff_jobs ~wire registry connect
+          if replica_peers then Ok [] else connect_peers ~jobs:eff_jobs registry connect
         with
         | Error m -> fail "%s" m
         | Ok remote_names -> (
@@ -876,7 +864,7 @@ let eval_files verbose doc_path schema_path services_path connect wire strategy 
             let sched =
               if replica_peers then
                 Result.map Option.some
-                  (connect_replicas ~jobs:eff_jobs ~wire ~balance ~local_registry:registry
+                  (connect_replicas ~jobs:eff_jobs ~balance ~local_registry:registry
                      ~local_names connect)
               else
                 let regen () =
@@ -942,7 +930,7 @@ let eval_cmd =
     Term.(
       ret
         (const eval_files $ verbose_flag $ doc_arg $ schema_arg $ services_arg $ connect_arg
-       $ wire_arg $ strategy_arg $ push_arg $ fguide_arg $ project_flag $ xml_flag $ flwr_flag
+       $ strategy_arg $ push_arg $ fguide_arg $ project_flag $ xml_flag $ flwr_flag
        $ jobs_arg $ match_jobs_arg $ shard_arg $ replicas_arg $ balance_arg $ fault_rate_arg
        $ fault_seed_arg $ max_retries_arg $ timeout_arg $ trace_arg $ metrics_arg
        $ report_json_arg $ query_arg))
@@ -1089,7 +1077,7 @@ let termination_cmd =
 
 (* ---------------- serve ---------------- *)
 
-let serve verbose services_path host port wire max_conns workers latency jitter jitter_seed
+let serve verbose services_path host port max_conns workers latency jitter jitter_seed
     fault_rate fault_seed max_retries timeout trace_out metrics_out =
   setup_logs verbose;
   if latency < 0.0 then fail "latency must be >= 0"
@@ -1106,14 +1094,8 @@ let serve verbose services_path host port wire max_conns workers latency jitter 
     | Error m -> fail "%s" m
     | Ok () -> (
       let obs = make_obs ~trace:trace_out ~metrics:metrics_out in
-      let caps =
-        let module W = Axml_net.Wire in
-        match wire with
-        | `Auto -> [ W.cap_project; W.cap_shard; W.cap_binary ]
-        | `Json -> [ W.cap_project; W.cap_shard ]
-      in
       match
-        Server.create ~host ~port ~obs ~caps ~max_conns ~workers ~delay:latency ~jitter
+        Server.create ~host ~port ~obs ~max_conns ~workers ~delay:latency ~jitter
           ~jitter_seed ~registry ()
       with
       | exception Unix.Unix_error (e, _, _) ->
@@ -1173,16 +1155,6 @@ let serve_cmd =
       value & opt int 0
       & info [ "jitter-seed" ] ~docv:"N" ~doc:"Seed for the $(b,--latency-jitter) stream.")
   in
-  let serve_wire_arg =
-    Arg.(
-      value
-      & opt wire_conv `Auto
-      & info [ "wire" ] ~docv:"CODEC"
-          ~doc:
-            "Frame codecs offered to peers: $(b,binary) (the default) advertises the \
-             compact binary codec in the capability handshake — clients that also speak it \
-             switch over, everyone else stays on JSON; $(b,json) never advertises it.")
-  in
   let max_conns_arg =
     Arg.(
       value & opt int 8192
@@ -1204,7 +1176,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc)
     Term.(
       ret
-        (const serve $ verbose_flag $ services_required $ host_arg $ port_arg $ serve_wire_arg
+        (const serve $ verbose_flag $ services_required $ host_arg $ port_arg
        $ max_conns_arg $ workers_arg $ latency_arg
        $ jitter_arg $ jitter_seed_arg $ fault_rate_arg $ fault_seed_arg $ max_retries_arg
        $ timeout_arg $ trace_arg $ metrics_arg))

@@ -55,7 +55,7 @@ val reachable_accepting_states : t -> int
 (** Number of accepting states reachable from the start state (exposed for
     white-box tests). *)
 
-(** {2 Low-level view (used by {!Dfa} and tests)} *)
+(** {2 Low-level view (used by [Axml_schema.Sat], [Axml_project.Project] and tests)} *)
 
 val start : t -> int
 val is_accepting : t -> int -> bool

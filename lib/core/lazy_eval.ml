@@ -104,36 +104,6 @@ let with_push s = { s with push = true }
 let with_budget b s = { s with max_calls = min b s.max_calls }
 let with_match_jobs n s = { s with match_jobs = n }
 
-type report = Engine.report = {
-  answers : Eval.binding list;
-  invoked : int;
-  pushed : int;
-  rounds : int;  (** invocation rounds (batches or single calls) *)
-  passes : int;  (** full evaluation sweeps over a layer *)
-  relevance_evals : int;  (** NFQ/LPQ evaluations performed *)
-  candidates_checked : int;  (** F-guide candidates filtered *)
-  layer_count : int;
-  simulated_seconds : float;  (** service latency + transfer, aggregated *)
-  analysis_seconds : float;  (** CPU time spent detecting relevant calls *)
-  bytes_transferred : int;
-  retries : int;  (** retried service attempts, summed over invocations *)
-  timeouts : int;  (** attempts classified as timeouts *)
-  failed_calls : int;  (** relevant calls left unexpanded after retry exhaustion *)
-  backoff_seconds : float;  (** simulated seconds spent backing off *)
-  full_nodes : int;  (** nodes handed to the projector; 0 without one *)
-  projected_nodes : int;  (** nodes surviving projection; 0 without one *)
-  projected_bytes_saved : int;  (** serialized bytes of dropped subtrees *)
-  sharded_calls : int;  (** calls placed on a named shard; 0 unsharded *)
-  rebalanced_calls : int;  (** calls the balancer moved off shard 0 *)
-  rerouted_calls : int;  (** failed-replica calls salvaged elsewhere *)
-  view_rebuild_nodes : int;
-      (** nodes (re)indexed into snapshot views during the run — splice
-          patches, plus full rebuilds if any non-splice mutation hit *)
-  parallel_match_batches : int;
-      (** intra-document parallel match dispatches; 0 when sequential *)
-  complete : bool;  (** the document is complete for the query (Def. 3) *)
-}
-
 (* Invocation (registry exchange, splicing, pooling, fault accounting,
    the simulated clock and all eval.* emission) is delegated to the
    engine; this state holds only what the NFQA analysis itself needs. *)
@@ -449,7 +419,7 @@ let relevance_name = function Nfq_relevance -> "nfq" | Lpq_relevance -> "lpq"
 let typing_name = function No_types -> "none" | Lenient_types -> "lenient" | Exact_types -> "exact"
 
 let run ?(strategy = default) ?schema ?(obs = Obs.null) ?pool ?projector ?dispatch ~registry
-    (q : P.t) (d : Doc.t) : report =
+    (q : P.t) (d : Doc.t) : Engine.report =
   let rqs =
     match strategy.relevance with
     | Nfq_relevance -> Nfq.of_query q

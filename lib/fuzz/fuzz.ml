@@ -32,7 +32,6 @@ type case = {
   project : bool;
   shards : int;
   replicate : bool;
-  wire_binary : bool;
   match_jobs : int;
 }
 
@@ -69,9 +68,6 @@ let case_of_seed seed =
   let shards = if Random.State.float rng 1.0 < 0.3 then 2 else 1 in
   let replicate = shards = 1 && Random.State.float rng 1.0 < 0.25 in
   let memoize = memoize && not replicate in
-  (* the wire dimension last, for the same reason again: remote cases
-     split between the binary codec and pinned JSON *)
-  let wire_binary = Random.State.bool rng in
   (* the intra-document match fan-out, drawn last like the dimensions
      above so every earlier draw is stable per seed; forced sequential
      for naive, which has no detect passes to fan out *)
@@ -93,21 +89,17 @@ let case_of_seed seed =
     project;
     shards;
     replicate;
-    wire_binary;
     match_jobs;
   }
 
 let case_to_string c =
   Printf.sprintf
     "seed=%d family=%s scale=%d strategy=%s jobs=%d remote=%b push=%b memo=%b fault_rate=%.2f \
-     permanent=%b retries=%d budget=%d project=%b shards=%d replicate=%b wire=%s \
-     match_jobs=%d"
+     permanent=%b retries=%d budget=%d project=%b shards=%d replicate=%b match_jobs=%d"
     c.case_seed (Adversary.family_name c.family) c.scale
     (if c.lazy_strategy then "lazy" else "naive")
     c.jobs c.remote c.push c.memoize c.fault_rate c.fault_permanent c.max_retries c.budget
-    c.project c.shards c.replicate
-    (if c.wire_binary then "binary" else "json")
-    c.match_jobs
+    c.project c.shards c.replicate c.match_jobs
 
 let replay_hint c =
   Printf.sprintf "axml fuzz --seed %d --iters 1 --family %s" c.case_seed
@@ -187,13 +179,13 @@ let remote_retry =
     attempt_timeout = 10.0;
   }
 
-let with_remote ~wire ~registry:served f =
+let with_remote ~registry:served f =
   let server = Server.create ~registry:served () in
   Server.start server;
   Fun.protect
     ~finally:(fun () -> Server.stop server)
     (fun () ->
-      let client = Client.create ~wire ~host:"127.0.0.1" ~port:(Server.port server) () in
+      let client = Client.create ~host:"127.0.0.1" ~port:(Server.port server) () in
       Fun.protect
         ~finally:(fun () -> Client.close client)
         (fun () ->
@@ -257,8 +249,7 @@ let run_arm ~watchdog (c : case) ~jobs ?(match_jobs = 1) ~push ?(project = false
       in
       if c.remote then begin
         let served = Adversary.generate acfg in
-        let wire = if c.wire_binary then `Auto else `Json in
-        with_remote ~wire ~registry:served.Adversary.registry eval
+        with_remote ~registry:served.Adversary.registry eval
       end
       else eval inst.Adversary.registry)
 
@@ -294,6 +285,7 @@ let reconcile (obs : Obs.t) (r : Engine.report) =
     if counted <> got then violate "reconcile" "%s: report %d, metrics %d" name got counted
   in
   ck "eval.invoked" r.Engine.invoked;
+  ck "eval.pushed" r.Engine.pushed;
   ck "eval.rounds" r.Engine.rounds;
   ck "eval.retries" r.Engine.retries;
   ck "eval.timeouts" r.Engine.timeouts;
@@ -430,31 +422,6 @@ let check ?(watchdog = 30.0) (c : case) : failure option =
           (List.length (tuples rp.Engine.answers))
           (List.length reference)
     end;
-    (* wire equivalence (remote cases): the binary codec and pinned JSON
-       must produce byte-identical serialized answers and the same
-       degradation profile — the codec is invisible above the framing
-       layer *)
-    if c.remote then begin
-      let rb =
-        run_arm ~watchdog { c with wire_binary = true } ~jobs:1 ~push:c.push
-          ~project:c.project ()
-      in
-      let rj =
-        run_arm ~watchdog { c with wire_binary = false } ~jobs:1 ~push:c.push
-          ~project:c.project ()
-      in
-      if answer_bytes rb <> answer_bytes rj then
-        violate "wire-equivalence" "binary and JSON serialized answers differ";
-      if rb.Engine.complete <> rj.Engine.complete then
-        violate "wire-equivalence" "binary complete=%b, JSON complete=%b" rb.Engine.complete
-          rj.Engine.complete;
-      if rb.Engine.failed_calls <> rj.Engine.failed_calls then
-        violate "wire-equivalence" "binary failed %d calls, JSON %d" rb.Engine.failed_calls
-          rj.Engine.failed_calls;
-      if rb.Engine.invoked <> rj.Engine.invoked then
-        violate "wire-equivalence" "binary invoked %d, JSON %d" rb.Engine.invoked
-          rj.Engine.invoked
-    end;
     (* push equivalence: the generator keeps fault fates byte-independent,
        so push-on and push-off must degrade identically *)
     if c.lazy_strategy then begin
@@ -504,7 +471,6 @@ let shrink_candidates (c : case) =
          is a simpler report than any scheduler interaction *)
       { c with shards = 1; replicate = false };
       { c with remote = false };
-      { c with wire_binary = false };
       { c with jobs = 1 };
       { c with push = false };
       { c with project = false };

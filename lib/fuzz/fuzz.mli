@@ -72,11 +72,6 @@ type case = {
           plus a twin regenerated from the same config, so both draw
           identical fault fates; forces [memoize] off (split caches
           would legitimately diverge from the unsharded arm) *)
-  wire_binary : bool;
-      (** remote cases only: negotiate the binary frame codec
-          ({!Axml_net.Wire.cap_binary}) instead of pinning JSON; every
-          remote case additionally checks the binary ≡ JSON
-          wire-equivalence oracle with both codecs at jobs = 1 *)
   match_jobs : int;
       (** intra-document match/detect fan-out of the primary lazy arm:
           1 or 4 (always 1 for naive); every lazy case additionally

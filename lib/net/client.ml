@@ -7,7 +7,6 @@ module Project = Axml_project.Project
 type conn = {
   fd : Unix.file_descr;
   mutable next_id : int;
-  codec : Wire.codec;  (* negotiated at handshake; Json unless both ends speak binary *)
   scratch : Wire.scratch;
       (* per-connection encode/decode buffers, reused across requests —
          no fresh frame buffer per call on a warm connection *)
@@ -18,7 +17,6 @@ type t = {
   port : int;
   pool_size : int;
   connect_timeout : float;
-  wire : [ `Auto | `Json ];
   mu : Mutex.t;
   mutable idle : conn list;
   mutable idle_len : int;
@@ -30,14 +28,13 @@ type t = {
          which is also what a pre-capability peer negotiates to *)
 }
 
-let create ?(pool_size = 4) ?(connect_timeout = 10.0) ?(wire = `Auto) ~host ~port () =
+let create ?(pool_size = 4) ?(connect_timeout = 10.0) ~host ~port () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   {
     host;
     port;
     pool_size;
     connect_timeout;
-    wire;
     mu = Mutex.create ();
     idle = [];
     idle_len = 0;
@@ -68,24 +65,16 @@ let dial t ~obs =
     set_deadline fd t.connect_timeout;
     Unix.connect fd (Unix.ADDR_INET (resolve t.host, t.port));
     (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-    let my_caps =
-      match t.wire with
-      | `Json -> [ Wire.cap_project ]
-      | `Auto -> [ Wire.cap_project; Wire.cap_binary ]
-    in
-    ignore (Wire.send fd (Wire.Hello { version = Wire.version; caps = my_caps }));
-    match Wire.recv fd with
+    let scratch = Wire.scratch () in
+    let hello = Wire.Hello { version = Wire.version; caps = [ Wire.cap_project ] } in
+    ignore (Wire.send ~scratch fd hello);
+    match Wire.recv ~scratch fd with
     | Wire.Welcome { version; services; caps }, _ when version = Wire.version ->
       Mutex.protect t.mu (fun () ->
           t.advertised <- Some services;
           t.peer_caps <- caps);
       Metrics.incr obs.Obs.metrics "net.connects";
-      let codec =
-        if List.mem Wire.cap_binary my_caps && List.mem Wire.cap_binary caps then
-          Wire.Binary
-        else Wire.Json
-      in
-      { fd; next_id = 1; codec; scratch = Wire.scratch () }
+      { fd; next_id = 1; scratch }
     | Wire.Error { message; _ }, _ -> raise (Wire.Protocol_error message)
     | _ -> raise (Wire.Protocol_error "expected a welcome handshake")
   with e ->
@@ -232,8 +221,7 @@ let call t ~obs ~timeout ~service ~params ~push =
     match
       set_deadline conn.fd timeout;
       let sent =
-        Wire.send ~codec:conn.codec ~scratch:conn.scratch conn.fd
-          (Wire.Invoke { id; service; params; push })
+        Wire.send ~scratch:conn.scratch conn.fd (Wire.Invoke { id; service; params; push })
       in
       let reply, received = Wire.recv ~scratch:conn.scratch conn.fd in
       (sent, reply, received)
@@ -328,10 +316,8 @@ let eval t ?(obs = Obs.null) ?(timeout = infinity) ?projector ~strategy query do
     in
     match
       set_deadline conn.fd timeout;
-      let sent =
-        Wire.send ~codec:conn.codec ~scratch:conn.scratch conn.fd
-          (Wire.Eval { id; strategy; query; doc; projected })
-      in
+      let request = Wire.Eval { id; strategy; query; doc; projected } in
+      let sent = Wire.send ~scratch:conn.scratch conn.fd request in
       let reply, received = Wire.recv ~scratch:conn.scratch conn.fd in
       (sent, reply, received)
     with

@@ -2,7 +2,8 @@
     request primitive the {!Remote} transport is built on.
 
     Connections are created lazily, handshaken on connect
-    ({!Wire.Hello}/{!Wire.Welcome}) and returned to a bounded idle pool
+    ({!Wire.Hello}/{!Wire.Welcome}; a peer of another protocol version
+    fails here with a protocol error) and returned to a bounded idle pool
     after each successful exchange. A borrowed connection is
     health-checked first: an idle socket that polls readable is either
     at EOF or carries stray bytes — both mean it is unusable for a
@@ -20,19 +21,13 @@ type t
 val create :
   ?pool_size:int ->
   ?connect_timeout:float ->
-  ?wire:[ `Auto | `Json ] ->
   host:string ->
   port:int ->
   unit ->
   t
 (** No I/O happens until the first call. [pool_size] (default 4) bounds
     the {e idle} connections kept for reuse; [connect_timeout] (default
-    10 s) is the socket deadline for the dial + handshake. [wire]
-    (default [`Auto]) selects the frame codec: [`Auto] advertises
-    {!Wire.cap_binary} in the handshake and uses the binary codec on
-    connections whose server advertised it too (falling back to JSON
-    against older peers); [`Json] never advertises it, pinning every
-    frame to JSON — the [axml --wire json] escape hatch. Each pooled
+    10 s) is the socket deadline for the dial + handshake. Each pooled
     connection keeps its own scratch buffers, so a warm connection
     allocates no fresh frame buffers per request. *)
 
@@ -41,8 +36,8 @@ val port : t -> int
 
 val capabilities : t -> string list
 (** The capabilities the server advertised in its {!Wire.Welcome} —
-    [[]] until a connection has been handshaken (and for pre-capability
-    peers, which advertise none). *)
+    [[]] until a connection has been handshaken (and for peers that
+    advertise none). *)
 
 val services : t -> ?obs:Axml_obs.Obs.t -> unit -> Wire.service_info list
 (** The service list the server advertised in its {!Wire.Welcome} —

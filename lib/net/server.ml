@@ -19,7 +19,6 @@ type conn = {
   cid : int;
   fd : Unix.file_descr;
   scratch : Wire.scratch;  (* reply encoding; reused for the conn's life *)
-  mutable codec : Wire.codec;  (* for replies; negotiated at handshake *)
   mutable handshaken : bool;
   mutable client_caps : string list;
   mutable rbuf : Bytes.t;  (* incoming bytes: [roff, rlen) is unconsumed *)
@@ -70,7 +69,7 @@ let resolve host =
     with Not_found -> invalid_arg (Printf.sprintf "cannot resolve host %S" host))
 
 let create ?(host = "127.0.0.1") ?(port = 0) ?(obs = Obs.null) ?schema
-    ?(caps = [ Wire.cap_project; Wire.cap_shard; Wire.cap_binary ]) ?(delay = 0.0)
+    ?(caps = [ Wire.cap_project; Wire.cap_shard ]) ?(delay = 0.0)
     ?(jitter = 0.0) ?(jitter_seed = 0) ?(workers = 32) ?(max_conns = 8192)
     ?(force_select = false) ~registry () =
   (* A peer hanging up mid-write must surface as EPIPE, not kill the
@@ -377,15 +376,14 @@ let event_loop t =
       set_interest c
     end
   in
-  let queue_reply ?codec c msg =
-    let codec = match codec with Some k -> k | None -> c.codec in
-    match Wire.encode_frame_into ~codec c.scratch msg with
+  let queue_reply c msg =
+    match Wire.encode_frame_into c.scratch msg with
     | b, n -> queue_bytes c b 0 n
     | exception Wire.Protocol_error m ->
       (* an oversized reply: all we can do is tell the peer and hang up *)
       Log.debug (fun f -> f "conn %d: unencodable reply: %s" c.cid m);
       (match
-         Wire.encode_frame_into ~codec c.scratch
+         Wire.encode_frame_into c.scratch
            (Wire.Error { id = 0; transient = false; message = m })
        with
       | b, n -> queue_bytes c b 0 n
@@ -406,11 +404,7 @@ let event_loop t =
       | Wire.Hello { version; caps } when version = Wire.version ->
         c.client_caps <- caps;
         c.handshaken <- true;
-        (* the handshake itself is always JSON; only frames after a
-           mutual cap_binary may switch *)
-        queue_reply ~codec:Wire.Json c (welcome t);
-        if List.mem Wire.cap_binary caps && List.mem Wire.cap_binary t.caps then
-          c.codec <- Wire.Binary
+        queue_reply c (welcome t)
       | Wire.Hello { version; _ } ->
         protocol_error c
           (Printf.sprintf "unsupported protocol version %d (this peer speaks %d)"
@@ -445,13 +439,12 @@ let event_loop t =
     if (not c.dead) && (not c.busy) && (not c.closing) && c.rlen - c.roff >= 4 then begin
       match Wire.decode_frame_header (Bytes.sub_string c.rbuf c.roff 4) with
       | exception Wire.Protocol_error m -> protocol_error c m
-      | codec, len ->
+      | len ->
         if c.rlen - c.roff - 4 >= len then begin
           let msg =
             (* decode copies every string it keeps and finishes before
                the loop can refill rbuf, so no copy of the slice *)
-            try Ok (Wire.decode_payload ~pos:(c.roff + 4) ~len codec
-                      (Bytes.unsafe_to_string c.rbuf))
+            try Ok (Wire.decode_payload ~pos:(c.roff + 4) ~len (Bytes.unsafe_to_string c.rbuf))
             with Wire.Protocol_error m -> Error m
           in
           c.roff <- c.roff + 4 + len;
@@ -530,7 +523,6 @@ let event_loop t =
             cid;
             fd;
             scratch = Wire.scratch ();
-            codec = Wire.Json;
             handshaken = false;
             client_caps = [];
             rbuf = Bytes.create 4096;

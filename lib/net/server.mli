@@ -13,14 +13,14 @@
     strict in-order request/response contract of the wire protocol.
 
     Each connection is handshaken ({!Wire.Hello}/{!Wire.Welcome}, exact
-    version match, always in JSON); when both sides advertise
-    {!Wire.cap_binary}, replies switch to the binary codec. The server
-    then serves {!Wire.Invoke} requests by calling
-    {!Axml_services.Registry.invoke} on the served registry — pushed
-    [sub_q_v] patterns are evaluated provider-side through exactly the
-    same {!Axml_services.Witness.prune} path as in-process pushing, and
-    the served registry's own fault schedules, retry policies and
-    memoization all apply (a flaky spec makes the {e server} retry its
+    version match). A frame whose header lacks the binary flag — a
+    version-1 peer's JSON [Hello], say — gets an {!Wire.Error} reply and
+    the connection is closed. The server then serves {!Wire.Invoke}
+    requests by calling {!Axml_services.Registry.invoke} on the served
+    registry — pushed [sub_q_v] patterns are evaluated provider-side
+    through exactly the same {!Axml_services.Witness.prune} path as
+    in-process pushing, and the served registry's own fault schedules,
+    retry policies and memoization all apply (a flaky spec makes the {e server} retry its
     simulated backends; when its budget runs out the client receives
     {!Wire.Degraded}).
 
@@ -84,8 +84,7 @@ val create :
     close. [force_select] (default false) pins the event loop to the
     portable select backend even where epoll is available — a test
     knob; select caps fd {e values} at 1024, so high [max_conns] needs
-    epoll. [caps] now also defaults to advertising {!Wire.cap_binary}.
-    Raises [Unix.Unix_error] when the address cannot be bound. *)
+    epoll. Raises [Unix.Unix_error] when the address cannot be bound. *)
 
 val port : t -> int
 (** The actual bound port (useful after [~port:0]). *)

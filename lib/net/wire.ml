@@ -2,7 +2,7 @@ module Tree = Axml_xml.Tree
 module P = Axml_query.Pattern
 module Json = Axml_obs.Json
 
-let version = 1
+let version = 2
 let max_frame = 64 * 1024 * 1024
 
 exception Protocol_error of string
@@ -11,136 +11,12 @@ exception Closed
 let fail fmt = Printf.ksprintf (fun m -> raise (Protocol_error m)) fmt
 
 (* ------------------------------------------------------------------ *)
-(* Trees *)
-
-let rec tree_to_json = function
-  | Tree.Text s -> Json.String s
-  | Tree.Element { Tree.name; attrs; children } ->
-    Json.Obj
-      (("n", Json.String name)
-      :: ((if attrs = [] then []
-           else
-             [
-               ( "a",
-                 Json.List
-                   (List.map (fun (k, v) -> Json.List [ Json.String k; Json.String v ]) attrs)
-               );
-             ])
-         @
-         if children = [] then []
-         else [ ("c", Json.List (List.map tree_to_json children)) ]))
-
-let forest_to_json f = Json.List (List.map tree_to_json f)
-
-let rec tree_of_json = function
-  | Json.String s -> Tree.Text s
-  | Json.Obj _ as j ->
-    let name =
-      match Json.member "n" j with
-      | Json.String s -> s
-      | _ -> fail "tree element without a string \"n\" field"
-    in
-    let attrs =
-      match Json.member "a" j with
-      | Json.Null -> []
-      | Json.List kvs ->
-        List.map
-          (function
-            | Json.List [ Json.String k; Json.String v ] -> (k, v)
-            | _ -> fail "tree attribute is not a [key, value] string pair")
-          kvs
-      | _ -> fail "tree \"a\" field is not a list"
-    in
-    let children =
-      match Json.member "c" j with
-      | Json.Null -> []
-      | Json.List cs -> List.map tree_of_json cs
-      | _ -> fail "tree \"c\" field is not a list"
-    in
-    Tree.Element { Tree.name; attrs; children }
-  | _ -> fail "tree node is neither a string nor an object"
-
-let forest_of_json = function
-  | Json.List ts -> List.map tree_of_json ts
-  | _ -> fail "forest is not a list"
-
-(* ------------------------------------------------------------------ *)
-(* Patterns *)
-
-let axis_to_json = function
-  | P.Child -> Json.String "child"
-  | P.Descendant -> Json.String "desc"
-
-let axis_of_json = function
-  | Json.String "child" -> P.Child
-  | Json.String "desc" -> P.Descendant
-  | _ -> fail "pattern axis is neither \"child\" nor \"desc\""
-
-let label_to_json = function
-  | P.Const s -> Json.Obj [ ("const", Json.String s) ]
-  | P.Value s -> Json.Obj [ ("value", Json.String s) ]
-  | P.Var s -> Json.Obj [ ("var", Json.String s) ]
-  | P.Wildcard -> Json.String "*"
-  | P.Or -> Json.String "or"
-  | P.Fun P.Any_fun -> Json.Obj [ ("fun", Json.Null) ]
-  | P.Fun (P.Named names) ->
-    Json.Obj [ ("fun", Json.List (List.map (fun n -> Json.String n) names)) ]
-
-let label_of_json = function
-  | Json.String "*" -> P.Wildcard
-  | Json.String "or" -> P.Or
-  | Json.Obj [ (key, v) ] -> (
-    match (key, v) with
-    | "const", Json.String s -> P.Const s
-    | "value", Json.String s -> P.Value s
-    | "var", Json.String s -> P.Var s
-    | "fun", Json.Null -> P.Fun P.Any_fun
-    | "fun", Json.List names ->
-      P.Fun
-        (P.Named
-           (List.map
-              (function Json.String n -> n | _ -> fail "pattern fun name is not a string")
-              names))
-    | _ -> fail "unknown pattern label %S" key)
-  | _ -> fail "pattern label does not decode"
-
-let rec pattern_to_json (n : P.node) =
-  Json.Obj
-    [
-      ("axis", axis_to_json n.P.axis);
-      ("label", label_to_json n.P.label);
-      ("result", Json.Bool n.P.result);
-      ("children", Json.List (List.map pattern_to_json n.P.children));
-    ]
-
-let rec pattern_of_json j =
-  match j with
-  | Json.Obj _ ->
-    let axis = axis_of_json (Json.member "axis" j) in
-    let label = label_of_json (Json.member "label" j) in
-    let result =
-      match Json.member "result" j with
-      | Json.Bool b -> b
-      | Json.Null -> false
-      | _ -> fail "pattern result flag is not a boolean"
-    in
-    let children =
-      match Json.member "children" j with
-      | Json.Null -> []
-      | Json.List cs -> List.map pattern_of_json cs
-      | _ -> fail "pattern children is not a list"
-    in
-    P.make ~axis ~result label children
-  | _ -> fail "pattern node is not an object"
-
-(* ------------------------------------------------------------------ *)
 (* Envelopes *)
 
 type service_info = { name : string; push : bool }
 
-(* Capabilities ride the handshake as a list of opaque strings; peers
-   that predate them decode no "caps" field as the empty list and ignore
-   the extra JSON member when encoding — negotiation degrades to "none". *)
+(* Capabilities ride the handshake as a list of opaque strings; a peer
+   uses an optional feature only when the other side listed it. *)
 let cap_project = "project"
 
 (* A shard-aware peer: its Welcome service list is complete enough to be
@@ -163,169 +39,16 @@ type message =
   | Eval of { id : int; strategy : string; query : P.node; doc : Tree.t; projected : bool }
   | Report of { id : int; report : Json.t }
 
-let caps_to_json caps = ("caps", Json.List (List.map (fun c -> Json.String c) caps))
-
-let message_to_json = function
-  | Hello { version; caps } ->
-    Json.Obj
-      [ ("type", Json.String "hello"); ("version", Json.Int version); caps_to_json caps ]
-  | Welcome { version; services; caps } ->
-    Json.Obj
-      [
-        ("type", Json.String "welcome");
-        ("version", Json.Int version);
-        ( "services",
-          Json.List
-            (List.map
-               (fun s ->
-                 Json.Obj [ ("name", Json.String s.name); ("push", Json.Bool s.push) ])
-               services) );
-        caps_to_json caps;
-      ]
-  | Invoke { id; service; params; push } ->
-    Json.Obj
-      ([
-         ("type", Json.String "invoke");
-         ("id", Json.Int id);
-         ("service", Json.String service);
-         ("params", forest_to_json params);
-       ]
-      @ match push with None -> [] | Some p -> [ ("push", pattern_to_json p) ])
-  | Result { id; pushed; forest } ->
-    Json.Obj
-      [
-        ("type", Json.String "result");
-        ("id", Json.Int id);
-        ("pushed", Json.Bool pushed);
-        ("forest", forest_to_json forest);
-      ]
-  | Error { id; transient; message } ->
-    Json.Obj
-      [
-        ("type", Json.String "error");
-        ("id", Json.Int id);
-        ("transient", Json.Bool transient);
-        ("message", Json.String message);
-      ]
-  | Degraded { id; message; retries; timeouts } ->
-    Json.Obj
-      [
-        ("type", Json.String "degraded");
-        ("id", Json.Int id);
-        ("message", Json.String message);
-        ("retries", Json.Int retries);
-        ("timeouts", Json.Int timeouts);
-      ]
-  | Eval { id; strategy; query; doc; projected } ->
-    Json.Obj
-      ([
-         ("type", Json.String "eval");
-         ("id", Json.Int id);
-         ("strategy", Json.String strategy);
-         ("query", pattern_to_json query);
-         ("doc", tree_to_json doc);
-       ]
-      @ if projected then [ ("projected", Json.Bool true) ] else [])
-  | Report { id; report } ->
-    Json.Obj [ ("type", Json.String "report"); ("id", Json.Int id); ("report", report) ]
-
-let int_field key j =
-  match Json.member key j with Json.Int i -> i | _ -> fail "missing int field %S" key
-
-let string_field key j =
-  match Json.member key j with
-  | Json.String s -> s
-  | _ -> fail "missing string field %S" key
-
-let bool_field key j =
-  match Json.member key j with Json.Bool b -> b | _ -> fail "missing bool field %S" key
-
-(* Absent on pre-capability peers: decode to []. *)
-let caps_field j =
-  match Json.member "caps" j with
-  | Json.Null -> []
-  | Json.List cs ->
-    List.map (function Json.String c -> c | _ -> fail "capability is not a string") cs
-  | _ -> fail "caps is not a list"
-
-let message_of_json j =
-  match Json.member "type" j with
-  | Json.String "hello" -> Hello { version = int_field "version" j; caps = caps_field j }
-  | Json.String "welcome" ->
-    let services =
-      List.map
-        (fun s -> { name = string_field "name" s; push = bool_field "push" s })
-        (Json.to_list (Json.member "services" j))
-    in
-    Welcome { version = int_field "version" j; services; caps = caps_field j }
-  | Json.String "invoke" ->
-    let push =
-      match Json.member "push" j with
-      | Json.Null -> None
-      | p -> Some (pattern_of_json p)
-    in
-    Invoke
-      {
-        id = int_field "id" j;
-        service = string_field "service" j;
-        params = forest_of_json (Json.member "params" j);
-        push;
-      }
-  | Json.String "result" ->
-    Result
-      {
-        id = int_field "id" j;
-        pushed = bool_field "pushed" j;
-        forest = forest_of_json (Json.member "forest" j);
-      }
-  | Json.String "error" ->
-    Error
-      {
-        id = int_field "id" j;
-        transient = bool_field "transient" j;
-        message = string_field "message" j;
-      }
-  | Json.String "degraded" ->
-    Degraded
-      {
-        id = int_field "id" j;
-        message = string_field "message" j;
-        retries = int_field "retries" j;
-        timeouts = int_field "timeouts" j;
-      }
-  | Json.String "eval" ->
-    Eval
-      {
-        id = int_field "id" j;
-        strategy = string_field "strategy" j;
-        query = pattern_of_json (Json.member "query" j);
-        doc = tree_of_json (Json.member "doc" j);
-        projected = (match Json.member "projected" j with Json.Bool b -> b | _ -> false);
-      }
-  | Json.String "report" -> (
-    match Json.member "report" j with
-    | Json.Null -> fail "report envelope without a \"report\" field"
-    | report -> Report { id = int_field "id" j; report })
-  | Json.String other -> fail "unknown message type %S" other
-  | _ -> fail "envelope without a \"type\" field"
-
 (* ------------------------------------------------------------------ *)
-(* The binary codec.
+(* The codec.
 
-   A compact alternative to the JSON payloads, negotiated as the
-   "binary" capability: strings are length-prefixed, ints are
-   LEB128 varints (zigzag where a value can be negative), every
-   composite opens with a one-byte tag. Decoding is hardened for
-   hostile peers: every read is bounds-checked against the frame,
-   every length/count is capped by the bytes that remain (an item
-   costs at least one byte, so a count beyond that is garbage), and
-   pathological nesting surfaces as {!Protocol_error}, never as an
-   escaped [Stack_overflow]. *)
-
-type codec = Json | Binary
-
-let cap_binary = "binary"
-let codec_name = function Json -> "json" | Binary -> "binary"
+   Strings are length-prefixed, ints are LEB128 varints (zigzag where a
+   value can be negative), every composite opens with a one-byte tag.
+   Decoding is hardened for hostile peers: every read is bounds-checked
+   against the frame, every length/count is capped by the bytes that
+   remain (an item costs at least one byte, so a count beyond that is
+   garbage), and pathological nesting surfaces as {!Protocol_error},
+   never as an escaped [Stack_overflow]. *)
 
 (* A growable output buffer with byte-addressable backing, so the
    4-byte frame header can be patched in after the payload is encoded —
@@ -683,21 +406,24 @@ let message_of_bin r =
     Report { id; report }
   | t -> fail "unknown binary message tag %d" t
 
-(* Standalone per-type binary codecs (tests, tools). *)
+(* Standalone per-type codecs (tests, tools). *)
 
 let to_bin_str enc x =
   let w = wbuf_make 256 in
   enc w x;
   Bytes.sub_string w.wb 0 w.wlen
 
-let of_bin_str name dec s =
-  let r = { src = s; pos = 0; limit = String.length s } in
+(* Decodes exactly [s.[pos .. limit-1]] with [dec]. *)
+let decode_slice name dec s pos limit =
+  let r = { src = s; pos; limit } in
   match dec r with
   | v ->
     if r.pos <> r.limit then
       fail "binary %s has %d trailing bytes" name (r.limit - r.pos);
     v
   | exception Stack_overflow -> fail "binary %s nests too deeply" name
+
+let of_bin_str name dec s = decode_slice name dec s 0 (String.length s)
 
 let tree_to_binary t = to_bin_str tree_to_bin t
 let tree_of_binary s = of_bin_str "tree" tree_of_bin s
@@ -722,121 +448,67 @@ let rec really_read fd buf off len =
     | n -> really_read fd buf (off + n) (len - n)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> really_read fd buf off len
 
-let write_frame fd json =
-  let payload = Json.to_string json in
-  let len = String.length payload in
-  if len > max_frame then fail "frame of %d bytes exceeds the %d-byte limit" len max_frame;
-  let buf = Bytes.create (4 + len) in
-  Bytes.set buf 0 (Char.chr ((len lsr 24) land 0xff));
-  Bytes.set buf 1 (Char.chr ((len lsr 16) land 0xff));
-  Bytes.set buf 2 (Char.chr ((len lsr 8) land 0xff));
-  Bytes.set buf 3 (Char.chr (len land 0xff));
-  Bytes.blit_string payload 0 buf 4 len;
-  really_write fd buf 0 (4 + len);
-  4 + len
-
-let read_frame fd =
-  let header = Bytes.create 4 in
-  really_read fd header 0 4;
-  let byte i = Char.code (Bytes.get header i) in
-  let len = (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3 in
-  if len <= 0 || len > max_frame then
-    fail "frame length %d is outside (0, %d]" len max_frame;
-  let payload = Bytes.create len in
-  really_read fd payload 0 len;
-  match Json.parse (Bytes.unsafe_to_string payload) with
-  | Ok v -> (v, 4 + len)
-  | Error m -> fail "frame payload is not JSON (%s)" m
-
-(* ------------------------------------------------------------------ *)
-(* Codec-aware frames.
-
-   Wire format: a 4-byte big-endian payload length, then the payload.
+(* Wire format: a 4-byte big-endian payload length, then the payload.
    [max_frame] fits in 26 bits, so the top bit of the first header byte
-   is free; the binary codec sets it (frames are self-describing and
-   [recv] needs no out-of-band state), JSON frames — including every
-   frame a pre-binary peer can produce — leave it clear. *)
+   is free; every frame sets it. A header without it is what a
+   version-1 peer sent for its JSON frames (always, for the handshake),
+   so it is rejected before any payload is read or decoded — a mixed
+   pair of peers fails at the handshake with a clear error. *)
 
 let binary_flag = 0x80
 
 type scratch = {
   out : wbuf;  (* whole outgoing frame, header included *)
   mutable inb : Bytes.t;  (* reusable incoming payload buffer *)
-  jb : Buffer.t;  (* JSON text staging for the encoder *)
 }
 
-let scratch () = { out = wbuf_make 4096; inb = Bytes.create 4096; jb = Buffer.create 4096 }
-
-let frame_header b0 b1 b2 b3 =
-  let codec = if b0 land binary_flag <> 0 then Binary else Json in
-  let len = ((b0 land 0x7f) lsl 24) lor (b1 lsl 16) lor (b2 lsl 8) lor b3 in
-  if len <= 0 || len > max_frame then
-    fail "frame length %d is outside (0, %d]" len max_frame;
-  (codec, len)
+let scratch () = { out = wbuf_make 4096; inb = Bytes.create 4096 }
 
 let decode_frame_header s =
   if String.length s < 4 then fail "frame header truncated";
   let byte i = Char.code (String.unsafe_get s i) in
-  frame_header (byte 0) (byte 1) (byte 2) (byte 3)
+  if byte 0 land binary_flag = 0 then
+    fail "frame header lacks the binary flag (a JSON frame from a version-1 peer?)";
+  let len = ((byte 0 land 0x7f) lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3 in
+  if len <= 0 || len > max_frame then
+    fail "frame length %d is outside (0, %d]" len max_frame;
+  len
 
 (* Encodes [msg] into [scr.out] as one complete frame (header
    included): the payload is written from offset 4, then the header is
    patched in — no copy, and the scratch's backing buffer amortises to
    the largest frame the connection ever sends. *)
-let encode_into scr codec msg =
+let encode_into scr msg =
   let w = scr.out in
   wbuf_reset w;
   wbuf_ensure w 4;
   w.wlen <- 4;
-  (match codec with
-  | Binary -> message_to_bin w msg
-  | Json ->
-    Buffer.clear scr.jb;
-    Json.to_buffer scr.jb (message_to_json msg);
-    let n = Buffer.length scr.jb in
-    wbuf_ensure w n;
-    Buffer.blit scr.jb 0 w.wb w.wlen n;
-    w.wlen <- w.wlen + n);
+  message_to_bin w msg;
   let len = w.wlen - 4 in
   if len > max_frame then fail "frame of %d bytes exceeds the %d-byte limit" len max_frame;
-  let flag = match codec with Binary -> binary_flag | Json -> 0 in
-  Bytes.set w.wb 0 (Char.chr (((len lsr 24) land 0x7f) lor flag));
+  Bytes.set w.wb 0 (Char.chr (((len lsr 24) land 0x7f) lor binary_flag));
   Bytes.set w.wb 1 (Char.chr ((len lsr 16) land 0xff));
   Bytes.set w.wb 2 (Char.chr ((len lsr 8) land 0xff));
   Bytes.set w.wb 3 (Char.chr (len land 0xff))
 
-let encode_frame ?(codec = Json) msg =
+let encode_frame msg =
   let scr = scratch () in
-  encode_into scr codec msg;
+  encode_into scr msg;
   Bytes.sub_string scr.out.wb 0 scr.out.wlen
 
-let encode_frame_into ?(codec = Json) scr msg =
-  encode_into scr codec msg;
+let encode_frame_into scr msg =
+  encode_into scr msg;
   (scr.out.wb, scr.out.wlen)
 
-let decode_payload ?(pos = 0) ?len codec s =
+let decode_payload ?(pos = 0) ?len s =
   let len = match len with Some n -> n | None -> String.length s - pos in
   if pos < 0 || len < 0 || pos + len > String.length s then
     fail "frame payload slice out of bounds";
-  match codec with
-  | Json -> (
-    let text = if pos = 0 && len = String.length s then s else String.sub s pos len in
-    match Json.parse text with
-    | Ok v -> message_of_json v
-    | Error m -> fail "frame payload is not JSON (%s)" m
-    | exception Stack_overflow -> fail "frame payload nests too deeply")
-  | Binary -> (
-    let r = { src = s; pos; limit = pos + len } in
-    match message_of_bin r with
-    | msg ->
-      if r.pos <> r.limit then
-        fail "binary frame has %d trailing bytes" (r.limit - r.pos);
-      msg
-    | exception Stack_overflow -> fail "binary frame nests too deeply")
+  decode_slice "frame" message_of_bin s pos (pos + len)
 
-let send ?(codec = Json) ?scratch:scr fd msg =
+let send ?scratch:scr fd msg =
   let scr = match scr with Some s -> s | None -> scratch () in
-  encode_into scr codec msg;
+  encode_into scr msg;
   really_write fd scr.out.wb 0 scr.out.wlen;
   scr.out.wlen
 
@@ -844,16 +516,9 @@ let recv ?scratch:scr fd =
   let scr = match scr with Some s -> s | None -> scratch () in
   let header = Bytes.create 4 in
   really_read fd header 0 4;
-  let byte i = Char.code (Bytes.get header i) in
-  let codec, len = frame_header (byte 0) (byte 1) (byte 2) (byte 3) in
+  let len = decode_frame_header (Bytes.unsafe_to_string header) in
   if Bytes.length scr.inb < len then scr.inb <- Bytes.create len;
   really_read fd scr.inb 0 len;
-  let msg =
-    match codec with
-    | Json -> decode_payload Json (Bytes.sub_string scr.inb 0 len)
-    | Binary ->
-      (* decode copies every string it keeps, so reading straight off
-         the reusable buffer is safe *)
-      decode_payload Binary ~len (Bytes.unsafe_to_string scr.inb)
-  in
-  (msg, 4 + len)
+  (* decode copies every string it keeps, so reading straight off the
+     reusable buffer is safe *)
+  (decode_payload ~len (Bytes.unsafe_to_string scr.inb), 4 + len)

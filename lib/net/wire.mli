@@ -1,14 +1,11 @@
 (** The AXML peer wire protocol.
 
-    Peers exchange {e frames}: a 4-byte big-endian length followed by
-    that many payload bytes. The payload is compact {!Axml_obs.Json} —
-    the same hand-rolled JSON the observability sinks use, so the whole
-    protocol needs no dependency beyond [Unix] — or, when both ends
-    advertise the {!cap_binary} capability, the length-prefixed binary
-    codec ({!Binary}). {!max_frame} fits in 26 bits, so the top bit of
-    the first header byte is free: binary frames set it and are
-    self-describing; JSON frames (including everything a pre-binary
-    peer can produce) leave it clear. One message per frame; the
+    Peers exchange {e frames}: a 4-byte big-endian header, then that
+    many payload bytes in the binary codec below. {!max_frame} fits in
+    26 bits, so the top bit of the first header byte is a flag, and
+    every frame sets it. A header without the flag (the JSON frames a
+    version-1 peer sends, its handshake included) is rejected with
+    {!Protocol_error} and never decoded. One message per frame; the
     protocol is strictly request/response over one connection.
 
     A connection opens with a version handshake ({!Hello} from the
@@ -30,12 +27,11 @@
 
 val version : int
 (** The protocol version sent in {!Hello} / {!Welcome}; peers must
-    match exactly. Optional features ride the handshake as {e
-    capabilities} instead: opaque strings listed in both [Hello] and
-    [Welcome], so either side uses a feature only when the other
-    advertised it. Pre-capability peers encode no ["caps"] field and
-    decode to the empty list — negotiation degrades to "none" and the
-    wire format they see is unchanged. *)
+    match exactly. Version 2 is the binary-only protocol; version-1
+    peers framed the handshake in JSON. Optional features ride the
+    handshake as {e capabilities} instead: opaque strings listed in
+    both [Hello] and [Welcome], so either side uses a feature only when
+    the other advertised it. *)
 
 val cap_project : string
 (** Capability: this peer understands type-based document projection —
@@ -51,55 +47,25 @@ val cap_shard : string
     rides on it; pre-shard peers simply don't advertise it and are
     treated as single, non-replicated owners. *)
 
-val cap_binary : string
-(** Capability: this peer speaks the binary codec. The handshake
-    ({!Hello}/{!Welcome}) is always JSON; once both sides have
-    advertised [cap_binary], either end may encode subsequent frames
-    with {!Binary} (the flag bit in the header tells the receiver,
-    frame by frame). Peers that never advertise it see pure JSON —
-    byte-for-byte the pre-binary protocol. *)
-
 val max_frame : int
 (** Frames above this many payload bytes (64 MiB) are rejected with
     {!Protocol_error} before any allocation. *)
 
 exception Protocol_error of string
-(** Malformed frame or envelope: bad length prefix, oversized frame,
-    JSON that does not parse, or an envelope that does not decode. *)
+(** Malformed frame or envelope: a header without the binary flag, a
+    bad length prefix, an oversized frame, or a payload that does not
+    decode. *)
 
 exception Closed
 (** The peer closed the connection (EOF mid-frame or before one). *)
 
-(** {2 Codecs} *)
+(** {2 The codec}
 
-val tree_to_json : Axml_xml.Tree.t -> Axml_obs.Json.t
-val tree_of_json : Axml_obs.Json.t -> Axml_xml.Tree.t
-(** Raises {!Protocol_error}. *)
-
-val forest_to_json : Axml_xml.Tree.forest -> Axml_obs.Json.t
-val forest_of_json : Axml_obs.Json.t -> Axml_xml.Tree.forest
-
-val pattern_to_json : Axml_query.Pattern.node -> Axml_obs.Json.t
-val pattern_of_json : Axml_obs.Json.t -> Axml_query.Pattern.node
-(** The decoded pattern carries fresh pids (pattern nodes are allocated
-    from a global counter); axes, labels, result flags and structure
-    round-trip exactly. Raises {!Protocol_error}. *)
-
-(** {2 The binary codec}
-
-    A compact alternative to the JSON payloads: one-byte tags,
-    length-prefixed strings, LEB128 varints (zigzag where values can be
-    negative). Semantically identical to the JSON codec — every value
-    that round-trips through one round-trips through the other to the
-    same result. Decoding is hardened against hostile bytes: all reads
-    are bounds-checked, every length/count is capped by the bytes
-    remaining in the frame, and pathological nesting raises
+    One-byte tags, length-prefixed strings, LEB128 varints (zigzag
+    where values can be negative). Decoding is hardened against hostile
+    bytes: all reads are bounds-checked, every length/count is capped by
+    the bytes remaining in the frame, and pathological nesting raises
     {!Protocol_error}, never an escaped [Stack_overflow]. *)
-
-type codec = Json | Binary
-
-val codec_name : codec -> string
-(** ["json"] / ["binary"] — the values the CLI's [--wire] flag takes. *)
 
 val tree_to_binary : Axml_xml.Tree.t -> string
 val tree_of_binary : string -> Axml_xml.Tree.t
@@ -110,7 +76,9 @@ val forest_of_binary : string -> Axml_xml.Tree.forest
 
 val pattern_to_binary : Axml_query.Pattern.node -> string
 val pattern_of_binary : string -> Axml_query.Pattern.node
-(** Fresh pids, exactly like {!pattern_of_json}. *)
+(** The decoded pattern carries fresh pids (pattern nodes are allocated
+    from a global counter); axes, labels, result flags and structure
+    round-trip exactly. Raises {!Protocol_error}. *)
 
 (** {2 Envelopes} *)
 
@@ -135,8 +103,8 @@ type message =
       doc : Axml_xml.Tree.t;
       projected : bool;
           (** the document was already projected against [query]
-              (informational; only sent to peers advertising
-              {!cap_project}, and omitted from the JSON when false) *)
+              (informational; only set for peers advertising
+              {!cap_project}) *)
     }
       (** Ship a whole query + document to the peer for evaluation
           against its served registry (remote evaluation, the mirror
@@ -148,25 +116,12 @@ type message =
           [report_to_json] — the same shape [axml run --report-json]
           emits, whichever strategy ran. *)
 
-val message_to_json : message -> Axml_obs.Json.t
-val message_of_json : Axml_obs.Json.t -> message
-(** Raises {!Protocol_error} on unknown or malformed envelopes. *)
-
 (** {2 Frame I/O}
 
     All functions handle partial reads/writes and EINTR; other [Unix]
     errors (including the EAGAIN a socket deadline raises) propagate to
     the caller. Byte counts include the 4-byte header — they are what
     the cost accounting reports as wire traffic. *)
-
-val write_frame : Unix.file_descr -> Axml_obs.Json.t -> int
-(** JSON-only frame write (never sets the binary flag). Returns the
-    bytes written. *)
-
-val read_frame : Unix.file_descr -> Axml_obs.Json.t * int
-(** JSON-only frame read (a binary-flagged header is rejected as
-    {!Protocol_error}). Returns the value and the bytes read. Raises
-    {!Closed} on EOF, {!Protocol_error} on garbage. *)
 
 type scratch
 (** Per-connection reusable encode/decode buffers. A hot connection
@@ -177,30 +132,31 @@ type scratch
 
 val scratch : unit -> scratch
 
-val encode_frame : ?codec:codec -> message -> string
+val encode_frame : message -> string
 (** The complete frame — header included — as it would appear on the
-    wire. [codec] defaults to [Json]. Raises {!Protocol_error} if the
-    payload exceeds {!max_frame}. *)
+    wire. Raises {!Protocol_error} if the payload exceeds
+    {!max_frame}. *)
 
-val encode_frame_into : ?codec:codec -> scratch -> message -> Bytes.t * int
+val encode_frame_into : scratch -> message -> Bytes.t * int
 (** Like {!encode_frame} but into the scratch's reusable buffer:
     [(backing, frame_length)]. The bytes are valid until the next
     encode or {!send} on the same scratch. *)
 
-val decode_frame_header : string -> codec * int
-(** Inspects the first 4 bytes: the payload codec and length. Raises
-    {!Protocol_error} on truncation or a length outside
-    [(0, max_frame]]. *)
+val decode_frame_header : string -> int
+(** Inspects the first 4 bytes and returns the payload length. Raises
+    {!Protocol_error} on truncation, a missing binary flag, or a length
+    outside [(0, max_frame]]. *)
 
-val decode_payload : ?pos:int -> ?len:int -> codec -> string -> message
+val decode_payload : ?pos:int -> ?len:int -> string -> message
 (** Decodes one payload from [s.[pos .. pos+len-1]] ([pos] defaults to
     0, [len] to the rest of the string). Raises {!Protocol_error} on
     malformed bytes, unknown tags, or trailing garbage. *)
 
-val send : ?codec:codec -> ?scratch:scratch -> Unix.file_descr -> message -> int
-(** [codec] defaults to [Json]. Without a [scratch], fresh buffers are
-    allocated per call (the pre-binary behavior). *)
+val send : ?scratch:scratch -> Unix.file_descr -> message -> int
+(** Returns the bytes written. Without a [scratch], fresh buffers are
+    allocated per call. *)
 
 val recv : ?scratch:scratch -> Unix.file_descr -> message * int
-(** Auto-detects the codec from the header flag, so a receiver needs no
-    out-of-band negotiation state. *)
+(** Returns the message and the bytes read. Raises {!Closed} on EOF and
+    {!Protocol_error} on garbage; an unflagged header is rejected before
+    its payload is read. *)

@@ -179,10 +179,13 @@ let arb_transient_fault_case =
 (* ------------------------------------------------------------------ *)
 (* Wire garbage: hostile byte strings to throw at an AXML peer. The
    frame format is a 4-byte big-endian length followed by that many
-   payload bytes — compact JSON, or the binary codec when the header's
-   top bit is set (lib/net/wire.ml); every generated string is
-   malformed at one of the protocol's layers. *)
+   payload bytes in the binary codec, with the header's top bit set
+   (lib/net/wire.ml). Unflagged frames — how a version-1 peer framed
+   its JSON — keep classes of their own: a peer must reject them
+   before decoding anything. Every generated string is malformed at one
+   of the protocol's layers. *)
 
+(* An unflagged frame, as a version-1 (JSON) peer framed it. *)
 let frame payload =
   let len = String.length payload in
   let b = Bytes.create (4 + len) in
@@ -190,7 +193,7 @@ let frame payload =
   Bytes.blit_string payload 0 b 4 len;
   Bytes.to_string b
 
-(* The same frame flagged as binary-codec (top bit of header byte 0). *)
+(* The same frame with the binary flag (top bit of header byte 0). *)
 let frame_bin payload =
   let b = Bytes.of_string (frame payload) in
   Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lor 0x80));
@@ -205,8 +208,8 @@ type garbage =
   | Truncated_payload of string * int  (* header promises more than sent *)
   | Oversize of int  (* length prefix above max_frame *)
   | Non_positive of int  (* zero or negative length prefix *)
-  | Not_json of string  (* well-framed, payload isn't JSON *)
-  | Wrong_envelope of string  (* well-framed valid JSON, bad envelope *)
+  | Not_json of string  (* unflagged frame, payload isn't JSON *)
+  | Wrong_envelope of string  (* unflagged frame, valid JSON, bad envelope *)
   | Binary_random of string  (* binary-flagged frame over arbitrary bytes *)
   | Binary_truncated of string * int  (* binary header promises more than sent *)
   | Binary_bad_tag of string  (* binary frame opening on an unknown message tag *)

@@ -10,7 +10,7 @@ module Eval = Axml_query.Eval
 module Registry = Axml_services.Registry
 module Faults = Axml_services.Faults
 module Spec = Axml_services.Spec
-module Naive = Axml_core.Naive
+module Engine = Axml_engine.Engine
 module Lazy_eval = Axml_core.Lazy_eval
 module Synthetic = Axml_workload.Synthetic
 
@@ -322,7 +322,7 @@ let arb_case = Gen.arb_fault_case
 
 let fault_free_reference c =
   let inst = Synthetic.generate (case_cfg c) in
-  tuples (Naive.run inst.Synthetic.registry inst.Synthetic.query inst.Synthetic.doc).Naive.answers
+  tuples (Engine.naive_run inst.Synthetic.registry inst.Synthetic.query inst.Synthetic.doc).Engine.answers
 
 let faulted_instance (c : Gen.fault_case) ~max_retries =
   let inst = Synthetic.generate (case_cfg c) in
@@ -345,10 +345,10 @@ let prop_lazy_under_faults_subset_of_naive =
         Lazy_eval.run ~registry:inst.Synthetic.registry ~schema:inst.Synthetic.schema
           inst.Synthetic.query inst.Synthetic.doc
       in
-      let answers = tuples r.Lazy_eval.answers in
+      let answers = tuples r.Engine.answers in
       subset answers reference
-      && r.Lazy_eval.complete = (r.Lazy_eval.failed_calls = 0)
-      && ((not r.Lazy_eval.complete) || answers = reference))
+      && r.Engine.complete = (r.Engine.failed_calls = 0)
+      && ((not r.Engine.complete) || answers = reference))
 
 let prop_enough_retries_mask_transients =
   (* Flaky-only schedules with 30 retries: a call defeats all 31 attempts
@@ -363,7 +363,7 @@ let prop_enough_retries_mask_transients =
         Lazy_eval.run ~registry:inst.Synthetic.registry ~schema:inst.Synthetic.schema
           inst.Synthetic.query inst.Synthetic.doc
       in
-      r.Lazy_eval.complete && tuples r.Lazy_eval.answers = reference)
+      r.Engine.complete && tuples r.Engine.answers = reference)
 
 (* Same fault schedule, every named strategy: identical complete-flag
    semantics and the answer-subset invariant — catches a strategy whose
@@ -388,11 +388,11 @@ let prop_all_strategies_degrade_gracefully =
             Lazy_eval.run ~registry:inst.Synthetic.registry ~schema:inst.Synthetic.schema
               ~strategy inst.Synthetic.query inst.Synthetic.doc
           in
-          let answers = tuples r.Lazy_eval.answers in
+          let answers = tuples r.Engine.answers in
           let ok =
             subset answers reference
-            && r.Lazy_eval.complete = (r.Lazy_eval.failed_calls = 0)
-            && ((not r.Lazy_eval.complete) || answers = reference)
+            && r.Engine.complete = (r.Engine.failed_calls = 0)
+            && ((not r.Engine.complete) || answers = reference)
           in
           if not ok then QCheck.Test.fail_reportf "strategy %s diverged" name else ok)
         named_strategies)
@@ -401,11 +401,11 @@ let prop_naive_under_faults_subset =
   QCheck.Test.make ~name:"naive under faults ⊆ fault-free naive" ~count:100 arb_case (fun c ->
       let reference = fault_free_reference c in
       let inst = faulted_instance c ~max_retries:2 in
-      let r = Naive.run inst.Synthetic.registry inst.Synthetic.query inst.Synthetic.doc in
-      let answers = tuples r.Naive.answers in
+      let r = Engine.naive_run inst.Synthetic.registry inst.Synthetic.query inst.Synthetic.doc in
+      let answers = tuples r.Engine.answers in
       subset answers reference
-      && r.Naive.complete = (r.Naive.failed_calls = 0)
-      && ((not r.Naive.complete) || answers = reference))
+      && r.Engine.complete = (r.Engine.failed_calls = 0)
+      && ((not r.Engine.complete) || answers = reference))
 
 (* ------------------------------------------------------------------ *)
 
