@@ -76,8 +76,9 @@ fuzz-smoke:
 	dune exec bin/axml.exe -- fuzz --seed 7 --iters 200
 
 # the unified report may not silently re-fork: downstream layers must
-# not reach into evaluator-specific report records, and only the engine
-# may define report_to_json
+# not reach into evaluator-specific report records, only the engine
+# may define report_to_json, and only the engine may bump an eval.*
+# metric (the eval.detect_seconds histogram is observed, not bumped)
 check-one-report:
 	@! grep -rn '\.Naive\.\|\.Lazy_eval\.' bin bench lib/net --include='*.ml' \
 	  || { echo 'direct evaluator report field access outside lib/core'; exit 1; }
@@ -89,6 +90,8 @@ check-one-report:
 	  || { echo 'routing report fields serialized outside lib/engine'; exit 1; }
 	@! grep -rn '"view_rebuild_nodes"\|"parallel_match_batches"' bin bench lib/net lib/core lib/sched --include='*.ml' \
 	  || { echo 'view report fields serialized outside lib/engine'; exit 1; }
+	@! grep -rlPz 'Metrics\.(incr|add|set)\b[^;]*?"eval\.' lib bin bench --include='*.ml' --exclude-dir=engine \
+	  || { echo 'eval.* metric bumped outside lib/engine'; exit 1; }
 
 # record a traced + measured run, then pretty-print the span tree;
 # load /tmp/axml-demo.trace.json in chrome://tracing or ui.perfetto.dev

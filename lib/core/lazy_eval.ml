@@ -105,8 +105,9 @@ let with_budget b s = { s with max_calls = min b s.max_calls }
 let with_match_jobs n s = { s with match_jobs = n }
 
 (* Invocation (registry exchange, splicing, pooling, fault accounting,
-   the simulated clock and all eval.* emission) is delegated to the
-   engine; this state holds only what the NFQA analysis itself needs. *)
+   the simulated clock) and every report counter, the analysis ones
+   included, live in the engine; this state holds only what the NFQA
+   analysis itself needs. *)
 type state = {
   strategy : strategy;
   doc : Doc.t;
@@ -125,11 +126,6 @@ type state = {
   mutable shared_ctx : Eval.context option;
   (* intra-document parallel matching: jobs level + batch accounting *)
   match_par : Eval.par option;
-  (* analysis counters — the invocation counters live in the engine *)
-  mutable passes : int;
-  mutable relevance_evals : int;
-  mutable candidates_checked : int;
-  mutable analysis_seconds : float;
 }
 
 let add_known st name =
@@ -177,7 +173,7 @@ let effective st (rq : Relevance.t) : Relevance.t option =
 let timed st f =
   let t0 = Sys.time () in
   let r = f () in
-  st.analysis_seconds <- st.analysis_seconds +. (Sys.time () -. t0);
+  Engine.count_seconds st.eng Engine.analysis_seconds (Sys.time () -. t0);
   r
 
 (* Contiguous split into at most [jobs] chunks, order-preserving — the
@@ -226,8 +222,7 @@ let detect st (rq : Relevance.t) : Doc.node list =
         else Trace.none
       in
       let t0 = if Obs.enabled st.obs then Sys.time () else 0.0 in
-      st.relevance_evals <- st.relevance_evals + 1;
-      Metrics.incr st.obs.Obs.metrics "eval.relevance_evals";
+      Engine.count st.eng Engine.relevance_evals 1;
       let retrieved =
         match effective st rq with
         | None -> []
@@ -251,9 +246,7 @@ let detect st (rq : Relevance.t) : Doc.node list =
                   Relevance.relevant_calls ~relax_joins ?par:st.match_par r st.doc)
           | Some guide ->
             let candidates = Fguide.candidates guide (Relevance.guide_steps r) in
-            st.candidates_checked <- st.candidates_checked + List.length candidates;
-            Metrics.incr st.obs.Obs.metrics ~by:(List.length candidates)
-              "eval.candidates_checked";
+            Engine.count st.eng Engine.candidates_checked (List.length candidates);
             (match st.strategy.relevance with
             | Lpq_relevance ->
               (* an LPQ is exactly its linear path: guide answers are final *)
@@ -288,7 +281,7 @@ let detect st (rq : Relevance.t) : Doc.node list =
               | _ -> sequential ())))
       in
       let result =
-        if Engine.failed_calls st.eng = 0 then retrieved
+        if Engine.current st.eng Engine.failed_calls = 0 then retrieved
         else
           List.filter
             (fun (c : Doc.node) -> not (Engine.permanently_failed st.eng c.Doc.id))
@@ -321,7 +314,8 @@ let push_pattern st (calls : Doc.node list) =
     Some (Nfq.optimistic_union sources)
 
 let within_budget st =
-  Engine.invoked st.eng < st.strategy.max_calls && st.passes < st.strategy.max_passes
+  Engine.current st.eng Engine.invoked < st.strategy.max_calls
+  && Engine.current st.eng Engine.passes < st.strategy.max_passes
 
 (* Visible calls inside a subtree (reached through data nodes only). *)
 let pending_calls_below (n : Doc.node) =
@@ -341,8 +335,7 @@ let pending_calls_below (n : Doc.node) =
 let materialize_answers st (q : P.t) =
   let continue = ref true in
   while !continue && within_budget st do
-    st.passes <- st.passes + 1;
-    Metrics.incr st.obs.Obs.metrics "eval.passes";
+    Engine.count st.eng Engine.passes 1;
     let answers =
       with_match_span st (fun () -> Eval.eval ?par:st.match_par q st.doc)
     in
@@ -383,8 +376,7 @@ let process_layer st (layer : Relevance.t list) =
   let tr = st.obs.Obs.trace in
   let continue = ref true in
   while !continue && within_budget st do
-    st.passes <- st.passes + 1;
-    Metrics.incr st.obs.Obs.metrics "eval.passes";
+    Engine.count st.eng Engine.passes 1;
     continue := false;
     Trace.with_span tr "eval.pass" (fun () ->
         let rec sweep = function
@@ -486,10 +478,6 @@ let run ?(strategy = default) ?schema ?(obs = Obs.null) ?pool ?projector ?dispat
       finished_sources = [];
       shared_ctx = None;
       match_par;
-      passes = 0;
-      relevance_evals = 0;
-      candidates_checked = 0;
-      analysis_seconds = 0.0;
     }
   in
   (* The sequential apply half calls back here after every splice:
@@ -554,10 +542,10 @@ let run ?(strategy = default) ?schema ?(obs = Obs.null) ?pool ?projector ?dispat
     Trace.with_span tr "eval.materialize" (fun () -> materialize_answers st q);
   let budget_ok = within_budget st in
   let answers = with_match_span st (fun () -> Eval.eval ?par:st.match_par q st.doc) in
-  (* the engine emits the final gauges, closes the root span and builds
-     the one report; everything the analysis measured rides along *)
-  Engine.finish eng ~root ~answers ~budget_ok ~passes:st.passes
-    ~relevance_evals:st.relevance_evals ~candidates_checked:st.candidates_checked
-    ~layer_count:(List.length layers) ~analysis_seconds:st.analysis_seconds
-    ~parallel_match_batches:
-      (match st.match_par with None -> 0 | Some par -> Eval.par_batches par)
+  Engine.count eng Engine.layer_count (List.length layers);
+  Option.iter
+    (fun par -> Engine.count eng Engine.parallel_match_batches (Eval.par_batches par))
+    st.match_par;
+  (* the engine builds the one report, emits the final gauges and closes
+     the root span *)
+  Engine.finish eng ~root ~answers ~budget_ok

@@ -100,16 +100,15 @@ val run :
 
     [obs] (default: disabled) records the whole evaluation as a span
     tree — [eval.run] ⊃ [eval.layer] ⊃ [eval.pass] ⊃ [eval.detect] /
-    [eval.round] ⊃ [service.invoke] ⊃ [service.attempt] — and mirrors
-    every report counter into [eval.*] metrics (identical increments, so
-    [Metrics.count obs.metrics "eval.invoked"] equals [report.invoked]
-    exactly, and likewise for [retries], [timeouts], [bytes],
-    [backoff_seconds], [rounds], [passes], …). On the trace's simulated
-    timeline, a sequentially-invoked parallel batch lays its members end
-    to end, while a pooled one ends at the max-aggregated charge
-    (fragments are clock-clamped as they are absorbed, see
-    {!Axml_obs.Trace.absorb}); either way the aggregated (max) charge is
-    the round span's [batch_cost_s] attribute.
+    [eval.round] ⊃ [service.invoke] ⊃ [service.attempt] — and counts
+    every report counter, its own analysis measurements included,
+    through {!Axml_engine.Engine.count}, so each [eval.*] metric
+    reconciles with the report ({!Axml_engine.Engine.reconcile}). On
+    the trace's simulated timeline, a sequentially-invoked parallel
+    batch lays its members end to end, while a pooled one ends at the
+    max-aggregated charge (fragments are clock-clamped as they are
+    absorbed, see {!Axml_obs.Trace.absorb}); either way the aggregated
+    (max) charge is the round span's [batch_cost_s] attribute.
 
     [dispatch] (default: straight to [Registry.invoke] on [registry])
     replaces the engine's request half — {!Axml_sched.Sched.dispatch}

@@ -1,13 +1,6 @@
-(** The unified evaluation runtime. Every evaluation strategy — naive
-    materialization (§1) and the NFQA lazy evaluator (§4) alike — is a
-    loop that picks batches of pending calls; the engine owns everything
-    below that choice: the registry exchange (thread-safe request half,
-    optionally on a worker pool), the sequential in-order apply half
-    (document splicing, counters, strategy hooks), the §4.4
-    whole-batch-fits-budget pooling guard, failed-call tombstones and
-    graceful-degradation accounting, the simulated clock, and all
-    [eval.*] span/metric emission — so the report ≡ metrics ≡ trace
-    reconciliation invariant lives in exactly one place. *)
+(** The unified evaluation runtime (documented in engine.mli): the
+    invocation driver every strategy's batch loop runs on, and the one
+    report, whose counters are declared once, in the counter table. *)
 
 module P = Axml_query.Pattern
 module Eval = Axml_query.Eval
@@ -26,81 +19,140 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 (* ------------------------------------------------------------------ *)
 (* The one report *)
 
-(** The single evaluation report. Strategies that do not perform
-    relevance analysis (naive) leave the analysis fields at zero. *)
+(* The single evaluation report; the field docs are in engine.mli. *)
 type report = {
   answers : Eval.binding list;
   invoked : int;
   pushed : int;
-  rounds : int;  (** invocation rounds (batches or single calls) *)
-  passes : int;  (** full evaluation sweeps over a layer *)
-  relevance_evals : int;  (** NFQ/LPQ evaluations performed *)
-  candidates_checked : int;  (** F-guide candidates filtered *)
+  rounds : int;
+  passes : int;
+  relevance_evals : int;
+  candidates_checked : int;
   layer_count : int;
-  simulated_seconds : float;  (** service latency + transfer, aggregated *)
-  analysis_seconds : float;  (** CPU time spent detecting relevant calls *)
+  simulated_seconds : float;
+  analysis_seconds : float;
   bytes_transferred : int;
-  retries : int;  (** retried service attempts, summed over invocations *)
-  timeouts : int;  (** attempts classified as timeouts *)
-  failed_calls : int;  (** calls left unexpanded after retry exhaustion *)
-  backoff_seconds : float;  (** simulated seconds spent backing off *)
-  full_nodes : int;  (** nodes handed to the projector; 0 without one *)
-  projected_nodes : int;  (** nodes surviving projection; 0 without one *)
-  projected_bytes_saved : int;  (** serialized bytes of dropped subtrees *)
-  sharded_calls : int;  (** calls placed on a named shard; 0 unsharded *)
-  rebalanced_calls : int;  (** calls the balancer moved off shard 0 *)
-  rerouted_calls : int;  (** failed-replica calls salvaged elsewhere *)
+  retries : int;
+  timeouts : int;
+  failed_calls : int;
+  backoff_seconds : float;
+  full_nodes : int;
+  projected_nodes : int;
+  projected_bytes_saved : int;
+  sharded_calls : int;
+  rebalanced_calls : int;
+  rerouted_calls : int;
   view_rebuild_nodes : int;
-      (** snapshot-view nodes (re)indexed after the initial build:
-          incremental splice patches plus any full rebuilds *)
   parallel_match_batches : int;
-      (** intra-document parallel match dispatches; 0 when sequential *)
-  complete : bool;  (** the answers are the full snapshot result *)
+  complete : bool;
 }
+
+(* ------------------------------------------------------------------ *)
+(* The counter table *)
+
+(* A [Counter] metric is bumped with its report field by [count]; a
+   [Gauge] is set once, by [finish], from the report. *)
+type kind = Counter | Gauge
+
+(* A report field as its row reads it back, for the JSON and the metric *)
+type value = Int of int | Float of float | Bool of bool | Bindings of Eval.binding list
+
+type counter = { slot : int; key : string; metric : string; kind : kind; read : report -> value }
+
+let slots = ref 0
+
+let row key metric kind read =
+  incr slots;
+  { slot = !slots - 1; key; metric; kind; read }
+
+(* One row per report field, in report and JSON order: every JSON key,
+   [eval.*] metric name and metric kind is declared here and nowhere else. *)
+let answers = row "answers" "eval.answers" Gauge (fun r -> Bindings r.answers)
+let invoked = row "invoked" "eval.invoked" Counter (fun r -> Int r.invoked)
+let pushed = row "pushed" "eval.pushed" Counter (fun r -> Int r.pushed)
+let rounds = row "rounds" "eval.rounds" Counter (fun r -> Int r.rounds)
+let passes = row "passes" "eval.passes" Counter (fun r -> Int r.passes)
+let relevance_evals =
+  row "relevance_evals" "eval.relevance_evals" Counter (fun r -> Int r.relevance_evals)
+let candidates_checked =
+  row "candidates_checked" "eval.candidates_checked" Counter (fun r -> Int r.candidates_checked)
+let layer_count = row "layer_count" "eval.layer_count" Gauge (fun r -> Int r.layer_count)
+let simulated_seconds =
+  row "simulated_seconds" "eval.simulated_seconds" Gauge (fun r -> Float r.simulated_seconds)
+let analysis_seconds =
+  row "analysis_seconds" "eval.analysis_seconds" Gauge (fun r -> Float r.analysis_seconds)
+let bytes_transferred =
+  row "bytes_transferred" "eval.bytes" Counter (fun r -> Int r.bytes_transferred)
+let retries = row "retries" "eval.retries" Counter (fun r -> Int r.retries)
+let timeouts = row "timeouts" "eval.timeouts" Counter (fun r -> Int r.timeouts)
+let failed_calls = row "failed_calls" "eval.failed_calls" Counter (fun r -> Int r.failed_calls)
+let backoff_seconds =
+  row "backoff_seconds" "eval.backoff_seconds" Counter (fun r -> Float r.backoff_seconds)
+let full_nodes = row "full_nodes" "eval.full_nodes" Gauge (fun r -> Int r.full_nodes)
+let projected_nodes =
+  row "projected_nodes" "eval.projected_nodes" Gauge (fun r -> Int r.projected_nodes)
+let projected_bytes_saved =
+  row "projected_bytes_saved" "eval.projected_bytes_saved" Gauge (fun r ->
+      Int r.projected_bytes_saved)
+let sharded_calls =
+  row "sharded_calls" "eval.sharded_calls" Counter (fun r -> Int r.sharded_calls)
+let rebalanced_calls =
+  row "rebalanced_calls" "eval.rebalanced_calls" Counter (fun r -> Int r.rebalanced_calls)
+let rerouted_calls =
+  row "rerouted_calls" "eval.rerouted_calls" Counter (fun r -> Int r.rerouted_calls)
+let view_rebuild_nodes =
+  row "view_rebuild_nodes" "eval.view_rebuild_nodes" Gauge (fun r -> Int r.view_rebuild_nodes)
+let parallel_match_batches =
+  row "parallel_match_batches" "eval.parallel_match_batches" Gauge (fun r ->
+      Int r.parallel_match_batches)
+let complete = row "complete" "eval.complete" Gauge (fun r -> Bool r.complete)
+
+let table =
+  [
+    answers; invoked; pushed; rounds; passes; relevance_evals; candidates_checked;
+    layer_count; simulated_seconds; analysis_seconds; bytes_transferred; retries; timeouts;
+    failed_calls; backoff_seconds; full_nodes; projected_nodes; projected_bytes_saved;
+    sharded_calls; rebalanced_calls; rerouted_calls; view_rebuild_nodes;
+    parallel_match_batches; complete;
+  ]
+
+let metric c = c.metric
+let kind c = c.kind
+
+let number = function
+  | Int n -> float_of_int n
+  | Float x -> x
+  | Bool b -> if b then 1.0 else 0.0
+  | Bindings bs -> float_of_int (List.length bs)
 
 let report_to_json (r : report) : Axml_obs.Json.t =
   let module J = Axml_obs.Json in
-  J.Obj
-    [
-      ( "answers",
-        J.List
-          (List.map
-             (fun (b : Eval.binding) ->
-               J.Obj
-                 [
-                   ("vars", J.Obj (List.map (fun (x, v) -> (x, J.String v)) b.Eval.vars));
-                   ( "results",
-                     J.List
-                       (List.map
-                          (fun (_, n) ->
-                            J.String (Axml_xml.Print.to_string (Doc.node_to_xml n)))
-                          b.Eval.results) );
-                 ])
-             r.answers) );
-      ("invoked", J.Int r.invoked);
-      ("pushed", J.Int r.pushed);
-      ("rounds", J.Int r.rounds);
-      ("passes", J.Int r.passes);
-      ("relevance_evals", J.Int r.relevance_evals);
-      ("candidates_checked", J.Int r.candidates_checked);
-      ("layer_count", J.Int r.layer_count);
-      ("simulated_seconds", J.Float r.simulated_seconds);
-      ("analysis_seconds", J.Float r.analysis_seconds);
-      ("bytes_transferred", J.Int r.bytes_transferred);
-      ("retries", J.Int r.retries);
-      ("timeouts", J.Int r.timeouts);
-      ("failed_calls", J.Int r.failed_calls);
-      ("backoff_seconds", J.Float r.backoff_seconds);
-      ("full_nodes", J.Int r.full_nodes);
-      ("projected_nodes", J.Int r.projected_nodes);
-      ("projected_bytes_saved", J.Int r.projected_bytes_saved);
-      ("sharded_calls", J.Int r.sharded_calls);
-      ("rebalanced_calls", J.Int r.rebalanced_calls);
-      ("rerouted_calls", J.Int r.rerouted_calls);
-      ("view_rebuild_nodes", J.Int r.view_rebuild_nodes);
-      ("parallel_match_batches", J.Int r.parallel_match_batches);
-      ("complete", J.Bool r.complete);
-    ]
+  let binding (b : Eval.binding) =
+    J.Obj
+      [
+        ("vars", J.Obj (List.map (fun (x, v) -> (x, J.String v)) b.Eval.vars));
+        ( "results",
+          J.List
+            (List.map
+               (fun (_, n) -> J.String (Axml_xml.Print.to_string (Doc.node_to_xml n)))
+               b.Eval.results) );
+      ]
+  in
+  let json = function
+    | Int n -> J.Int n
+    | Float x -> J.Float x
+    | Bool b -> J.Bool b
+    | Bindings bs -> J.List (List.map binding bs)
+  in
+  J.Obj (List.map (fun c -> (c.key, json (c.read r))) table)
+
+(* Both sides are fed by the same bumps in the same order: exact. *)
+let reconcile (obs : Obs.t) (r : report) =
+  List.filter_map
+    (fun c ->
+      let want = number (c.read r) and got = Metrics.value obs.Obs.metrics c.metric in
+      if want = got then None else Some (c.metric, want, got))
+    table
 
 (* ------------------------------------------------------------------ *)
 (* Call helpers *)
@@ -147,25 +199,36 @@ type t = {
      function nodes, never re-attempted *)
   failed : (int, unit) Hashtbl.t;
   projector : Project.t option;
-  mutable projection : Project.stats;
   (* [Doc.view_indexed_total] right after [create] built the initial
      snapshot: [finish] differences against it so the report counts only
      the view work done during the run *)
   view_baseline : int;
   mutable on_replace : invoked:Doc.node -> added:Doc.node list -> unit;
-  mutable invoked : int;
-  mutable pushed : int;
-  mutable rounds : int;
-  mutable simulated_seconds : float;
-  mutable bytes : int;
-  mutable retries : int;
-  mutable timeouts : int;
-  mutable backoff_seconds : float;
-  mutable sharded_calls : int;
-  mutable rebalanced_calls : int;
-  mutable rerouted_calls : int;
+  (* one accumulator per table row, indexed by its slot *)
+  acc : float array;
   mutable budget_hit : bool;
 }
+
+(* The one statement that bumps a report counter: the accumulator, and
+   for a [Counter] row its metric, in the same step. The [enabled] guard
+   keeps a bump allocation-free when nobody is measuring. *)
+let count t c n =
+  t.acc.(c.slot) <- t.acc.(c.slot) +. float_of_int n;
+  match c.kind with
+  | Counter when Metrics.enabled t.obs.Obs.metrics ->
+    Metrics.incr t.obs.Obs.metrics ~by:n c.metric
+  | Counter | Gauge -> ()
+
+let count_seconds t c x =
+  t.acc.(c.slot) <- t.acc.(c.slot) +. x;
+  match c.kind with Counter -> Metrics.add t.obs.Obs.metrics c.metric x | Gauge -> ()
+
+let current t c = int_of_float t.acc.(c.slot)
+
+let count_projection t (st : Project.stats) =
+  count t full_nodes st.Project.full_nodes;
+  count t projected_nodes st.Project.kept_nodes;
+  count t projected_bytes_saved st.Project.bytes_saved
 
 type accounting = Max | Sum
 
@@ -177,58 +240,38 @@ let registry_dispatch registry : dispatch =
 let create ?(max_calls = 100_000) ?pool ?(obs = Obs.null) ?projector ?dispatch registry
     (doc : Doc.t) =
   (* Layer 1: project the initial document before any strategy sees it. *)
-  let projection =
-    match projector with None -> Project.zero_stats | Some p -> Project.doc p doc
-  in
+  let projection = Option.map (fun p -> Project.doc p doc) projector in
   (* Index the (projected) document once up front: strategies hit this
      cached snapshot, and every splice from here on patches it
      incrementally instead of forcing full rebuilds. *)
   ignore (Doc.View.snapshot doc);
-  {
-    registry;
-    dispatch = (match dispatch with Some d -> d | None -> registry_dispatch registry);
-    doc;
-    obs;
-    pool;
-    max_calls;
-    failed = Hashtbl.create 8;
-    projector;
-    projection;
-    view_baseline = Doc.view_indexed_total doc;
-    on_replace = (fun ~invoked:_ ~added:_ -> ());
-    invoked = 0;
-    pushed = 0;
-    rounds = 0;
-    simulated_seconds = 0.0;
-    bytes = 0;
-    retries = 0;
-    timeouts = 0;
-    backoff_seconds = 0.0;
-    sharded_calls = 0;
-    rebalanced_calls = 0;
-    rerouted_calls = 0;
-    budget_hit = false;
-  }
+  let t =
+    {
+      registry;
+      dispatch = (match dispatch with Some d -> d | None -> registry_dispatch registry);
+      doc;
+      obs;
+      pool;
+      max_calls;
+      failed = Hashtbl.create 8;
+      projector;
+      view_baseline = Doc.view_indexed_total doc;
+      on_replace = (fun ~invoked:_ ~added:_ -> ());
+      acc = Array.make !slots 0.0;
+      budget_hit = false;
+    }
+  in
+  Option.iter (count_projection t) projection;
+  t
 
 let on_replace t f = t.on_replace <- f
-let invoked t = t.invoked
-let failed_calls t = Hashtbl.length t.failed
 let permanently_failed t id = Hashtbl.mem t.failed id
-let budget_hit t = t.budget_hit
-let simulated_seconds t = t.simulated_seconds
 
 let account t (inv : Registry.invocation) =
-  t.retries <- t.retries + inv.Registry.retries;
-  t.timeouts <- t.timeouts + inv.Registry.timeouts;
-  t.backoff_seconds <- t.backoff_seconds +. inv.Registry.backoff_seconds;
-  t.bytes <- t.bytes + inv.Registry.request_bytes + inv.Registry.response_bytes;
-  (* the mirror of the report counters — same increments, so the metrics
-     snapshot reconciles with the report exactly *)
-  let m = t.obs.Obs.metrics in
-  Metrics.incr m ~by:inv.Registry.retries "eval.retries";
-  Metrics.incr m ~by:inv.Registry.timeouts "eval.timeouts";
-  Metrics.add m "eval.backoff_seconds" inv.Registry.backoff_seconds;
-  Metrics.incr m ~by:(inv.Registry.request_bytes + inv.Registry.response_bytes) "eval.bytes"
+  count t retries inv.Registry.retries;
+  count t timeouts inv.Registry.timeouts;
+  count_seconds t backoff_seconds inv.Registry.backoff_seconds;
+  count t bytes_transferred (inv.Registry.request_bytes + inv.Registry.response_bytes)
 
 (* One invocation is split in two halves. [request] is the worker-safe
    half: just the registry exchange (thread-safe, only reads the
@@ -265,31 +308,17 @@ let apply t ?push (call : Doc.node) outcome =
       match (t.projector, call.Doc.parent) with
       | Some p, Some parent ->
         let kept, st = Project.spliced_forest p ~parent result in
-        t.projection <- Project.add_stats t.projection st;
+        count_projection t st;
         kept
       | _ -> result
     in
     let added = Doc.replace_call t.doc call result in
     t.on_replace ~invoked:call ~added;
-    t.invoked <- t.invoked + 1;
-    Metrics.incr t.obs.Obs.metrics "eval.invoked";
-    if inv.Registry.pushed then begin
-      t.pushed <- t.pushed + 1;
-      Metrics.incr t.obs.Obs.metrics "eval.pushed"
-    end;
-    (match route.shard with
-    | None -> ()
-    | Some _ ->
-      t.sharded_calls <- t.sharded_calls + 1;
-      Metrics.incr t.obs.Obs.metrics "eval.sharded_calls");
-    if route.rebalanced then begin
-      t.rebalanced_calls <- t.rebalanced_calls + 1;
-      Metrics.incr t.obs.Obs.metrics "eval.rebalanced_calls"
-    end;
-    if route.rerouted > 0 then begin
-      t.rerouted_calls <- t.rerouted_calls + route.rerouted;
-      Metrics.incr t.obs.Obs.metrics ~by:route.rerouted "eval.rerouted_calls"
-    end;
+    count t invoked 1;
+    if inv.Registry.pushed then count t pushed 1;
+    if route.shard <> None then count t sharded_calls 1;
+    if route.rebalanced then count t rebalanced_calls 1;
+    if route.rerouted > 0 then count t rerouted_calls route.rerouted;
     account t inv;
     inv.Registry.cost
   | O_failed inv ->
@@ -300,7 +329,7 @@ let apply t ?push (call : Doc.node) outcome =
           (match call.Doc.label with Doc.Call { call_id; _ } -> call_id | _ -> -1)
           name inv.Registry.retries inv.Registry.timeouts);
     Hashtbl.replace t.failed call.Doc.id ();
-    Metrics.incr t.obs.Obs.metrics "eval.failed_calls";
+    count t failed_calls 1;
     account t inv;
     inv.Registry.cost
 
@@ -323,7 +352,7 @@ let invoke_batch t ?push ~accounting calls =
     | Some pool, Max
       when Exec.jobs pool > 1
            && List.length calls > 1
-           && t.invoked + List.length calls <= t.max_calls ->
+           && current t invoked + List.length calls <= t.max_calls ->
       Some pool
     | _ -> None
   in
@@ -331,7 +360,7 @@ let invoke_batch t ?push ~accounting calls =
   | None ->
     List.fold_left
       (fun worst call ->
-        if t.invoked >= t.max_calls then begin
+        if current t invoked >= t.max_calls then begin
           t.budget_hit <- true;
           worst
         end
@@ -352,8 +381,7 @@ let invoke_batch t ?push ~accounting calls =
       0.0 calls outcomes
 
 let round ?(attrs = []) ?push ~accounting t calls =
-  t.rounds <- t.rounds + 1;
-  Metrics.incr t.obs.Obs.metrics "eval.rounds";
+  count t rounds 1;
   let tr = t.obs.Obs.trace in
   let span =
     if Trace.enabled tr then Trace.open_span tr ~attrs "eval.round" else Trace.none
@@ -361,70 +389,53 @@ let round ?(attrs = []) ?push ~accounting t calls =
   let batch_cost = invoke_batch t ?push ~accounting calls in
   if Trace.enabled tr then
     Trace.close_span tr ~attrs:[ ("batch_cost_s", Trace.Float batch_cost) ] span;
-  t.simulated_seconds <- t.simulated_seconds +. batch_cost;
+  count_seconds t simulated_seconds batch_cost;
   batch_cost
 
 (* ------------------------------------------------------------------ *)
 (* Finishing: final gauges, the root span, the report *)
 
-let finish ?passes ?(relevance_evals = 0) ?(candidates_checked = 0) ?layer_count
-    ?analysis_seconds ?(parallel_match_batches = 0) t ~root ~answers ~budget_ok =
-  let complete = budget_ok && Hashtbl.length t.failed = 0 in
-  let view_rebuild_nodes = Doc.view_indexed_total t.doc - t.view_baseline in
+(* [swept]: the strategy sweeps layers, so the root span reports its
+   passes; naive materialization never sweeps and leaves them out. *)
+let close ~swept t ~root ~answers ~budget_ok =
+  count t view_rebuild_nodes (Doc.view_indexed_total t.doc - t.view_baseline);
+  let n c = current t c and x c = t.acc.(c.slot) in
+  let report =
+    {
+      answers;
+      invoked = n invoked; pushed = n pushed; rounds = n rounds; passes = n passes;
+      relevance_evals = n relevance_evals; candidates_checked = n candidates_checked;
+      layer_count = n layer_count; simulated_seconds = x simulated_seconds;
+      analysis_seconds = x analysis_seconds; bytes_transferred = n bytes_transferred;
+      retries = n retries; timeouts = n timeouts; failed_calls = n failed_calls;
+      backoff_seconds = x backoff_seconds; full_nodes = n full_nodes;
+      projected_nodes = n projected_nodes; projected_bytes_saved = n projected_bytes_saved;
+      sharded_calls = n sharded_calls; rebalanced_calls = n rebalanced_calls;
+      rerouted_calls = n rerouted_calls; view_rebuild_nodes = n view_rebuild_nodes;
+      parallel_match_batches = n parallel_match_batches;
+      complete = budget_ok && Hashtbl.length t.failed = 0;
+    }
+  in
   if Obs.enabled t.obs then begin
-    let m = t.obs.Obs.metrics in
-    (match layer_count with
-    | Some lc -> Metrics.set m "eval.layer_count" (float_of_int lc)
-    | None -> ());
-    Metrics.set m "eval.answers" (float_of_int (List.length answers));
-    Metrics.set m "eval.full_nodes" (float_of_int t.projection.Project.full_nodes);
-    Metrics.set m "eval.projected_nodes" (float_of_int t.projection.Project.kept_nodes);
-    Metrics.set m "eval.projected_bytes_saved"
-      (float_of_int t.projection.Project.bytes_saved);
-    Metrics.set m "eval.complete" (if complete then 1.0 else 0.0);
-    Metrics.set m "eval.view_rebuild_nodes" (float_of_int view_rebuild_nodes);
-    Metrics.set m "eval.parallel_match_batches" (float_of_int parallel_match_batches);
-    Metrics.set m "eval.simulated_seconds" t.simulated_seconds;
-    (match analysis_seconds with
-    | Some a -> Metrics.set m "eval.analysis_seconds" a
-    | None -> ());
+    List.iter
+      (fun c ->
+        if c.kind = Gauge then Metrics.set t.obs.Obs.metrics c.metric (number (c.read report)))
+      table;
+    let attr c = (c.key, Trace.Int (n c)) in
     Trace.close_span t.obs.Obs.trace
       ~attrs:
-        ([ ("invoked", Trace.Int t.invoked); ("rounds", Trace.Int t.rounds) ]
-        @ (match passes with Some p -> [ ("passes", Trace.Int p) ] | None -> [])
+        ([ attr invoked; attr rounds ]
+        @ (if swept then [ attr passes ] else [])
         @ [
-            ("bytes", Trace.Int t.bytes);
-            ("simulated_s", Trace.Float t.simulated_seconds);
-            ("complete", Trace.Bool complete);
+            ("bytes", Trace.Int report.bytes_transferred);
+            ("simulated_s", Trace.Float report.simulated_seconds);
+            (complete.key, Trace.Bool report.complete);
           ])
       root
   end;
-  {
-    answers;
-    invoked = t.invoked;
-    pushed = t.pushed;
-    rounds = t.rounds;
-    passes = Option.value passes ~default:0;
-    relevance_evals;
-    candidates_checked;
-    layer_count = Option.value layer_count ~default:0;
-    simulated_seconds = t.simulated_seconds;
-    analysis_seconds = Option.value analysis_seconds ~default:0.0;
-    bytes_transferred = t.bytes;
-    retries = t.retries;
-    timeouts = t.timeouts;
-    failed_calls = Hashtbl.length t.failed;
-    backoff_seconds = t.backoff_seconds;
-    full_nodes = t.projection.Project.full_nodes;
-    projected_nodes = t.projection.Project.kept_nodes;
-    projected_bytes_saved = t.projection.Project.bytes_saved;
-    sharded_calls = t.sharded_calls;
-    rebalanced_calls = t.rebalanced_calls;
-    rerouted_calls = t.rerouted_calls;
-    view_rebuild_nodes;
-    parallel_match_batches;
-    complete;
-  }
+  report
+
+let finish = close ~swept:true
 
 (* ------------------------------------------------------------------ *)
 (* The naive strategy (§1): every visible call is relevant, one round
@@ -455,4 +466,4 @@ let naive_run ?max_calls ?(parallel = true) ?pool ?(obs = Obs.null) ?projector ?
     end
   done;
   let answers = Eval.eval q d in
-  finish t ~root ~answers ~budget_ok:(not t.budget_hit)
+  close ~swept:false t ~root ~answers ~budget_ok:(not t.budget_hit)

@@ -5,7 +5,8 @@
     {!Axml_core.Lazy_eval.run}) — are loops that pick batches of pending
     calls; the engine owns everything below that choice:
 
-    - the single {!report} record and its {!report_to_json} wire format;
+    - the single {!report} record, and its {{!counters}counter table}
+      from which {!report_to_json} and {!reconcile} are derived;
     - the invocation driver: the thread-safe request half against
       {!Axml_services.Registry.invoke} (optionally dispatched on an
       {!Axml_exec.Exec} worker pool), and the sequential in-order apply
@@ -18,8 +19,9 @@
       call whose retry budget is exhausted stays in the document as an
       unexpanded function node, is never re-attempted, and only costs
       bindings (Def. 4's leniency), never fabricates them;
-    - all [eval.*] span and metric emission, so the report ≡ metrics ≡
-      trace reconciliation invariant lives in exactly one place.
+    - all [eval.*] metric emission: {!count} bumps a report counter
+      and its metric in one step, so report ≡ metrics holds by
+      construction.
 
     Future strategies (sharded registries, result caching, alternate
     backends) plug into the same driver instead of growing a third
@@ -80,9 +82,39 @@ type report = {
           the full result (missing data only loses bindings). *)
 }
 
+(** {2:counters The counter table}
+
+    One row per {!report} field, in report and JSON order: its JSON key,
+    its [eval.*] metric name and the metric's kind. A [Counter] metric
+    is bumped with its field by {!count}; a [Gauge] is set from the
+    report by {!finish}. *)
+
+type kind = Counter | Gauge
+type counter
+
+val table : counter list
+val metric : counter -> string
+val kind : counter -> kind
+
+(** The rows strategies bump or read: *)
+
+val invoked : counter
+val failed_calls : counter
+val passes : counter
+val relevance_evals : counter
+val candidates_checked : counter
+val layer_count : counter
+val analysis_seconds : counter
+val parallel_match_batches : counter
+
 val report_to_json : report -> Axml_obs.Json.t
 (** The full report as JSON — the [--report-json] and peer wire format:
     answer tuples (variable bindings plus result XML) and every counter. *)
+
+val reconcile : Axml_obs.Obs.t -> report -> (string * float * float) list
+(** Every row whose metric in [obs] disagrees with the report, as
+    (metric, report value, metric value). Answers count their tuples,
+    [complete] is 1 or 0. *)
 
 (** {2 Call helpers} *)
 
@@ -174,43 +206,32 @@ val round :
     attached, the accounting is [Max], the batch has at least two calls
     and fits the remaining budget in full), charges the simulated clock
     and returns the batch cost. Calls reached with the budget exhausted
-    are skipped and set {!budget_hit}. [push] ships the optimistic
+    are skipped and make the run incomplete. [push] ships the optimistic
     subquery with every call of the round (§7). *)
 
-val invoked : t -> int
-val failed_calls : t -> int
+val count : t -> counter -> int -> unit
+(** [count t c n] adds [n] to the row's field and, for a [Counter] row,
+    to its metric: the only way a report counter moves. *)
+
+val count_seconds : t -> counter -> float -> unit
+val current : t -> counter -> int
+
 val permanently_failed : t -> int -> bool
 (** Whether the node with this id is a failed-call tombstone — excluded
     from future batches by every strategy. *)
 
-val budget_hit : t -> bool
-(** A call was skipped because [max_calls] was already spent. *)
-
-val simulated_seconds : t -> float
-
 val finish :
-  ?passes:int ->
-  ?relevance_evals:int ->
-  ?candidates_checked:int ->
-  ?layer_count:int ->
-  ?analysis_seconds:float ->
-  ?parallel_match_batches:int ->
   t ->
   root:Axml_obs.Trace.span ->
   answers:Axml_query.Eval.binding list ->
   budget_ok:bool ->
   report
-(** Emits the final gauges ([eval.answers], [eval.complete],
-    [eval.view_rebuild_nodes], [eval.parallel_match_batches],
-    [eval.simulated_seconds], plus [eval.layer_count] /
-    [eval.analysis_seconds] when given), closes the strategy's [root]
-    span with the summary attributes, and assembles the report.
-    [complete] is [budget_ok] and no tombstones; [view_rebuild_nodes] is
-    computed by the engine ({!Axml_doc.view_indexed_total} differenced
-    against {!create}'s baseline). The optional analysis fields are the
-    strategy's own counters; absent ones report zero (and [passes] is
-    also omitted from the root span's attributes, matching the
-    strategies that never sweep). *)
+(** Builds the report from the counters (rows nobody {!count}ed are
+    zero), sets the [Gauge] metrics from it and closes the strategy's
+    [root] span with the summary attributes. [complete] is [budget_ok]
+    and no tombstones; [view_rebuild_nodes] is computed here
+    ({!Axml_doc.view_indexed_total} differenced against {!create}'s
+    baseline). *)
 
 (** {2 The naive strategy}
 

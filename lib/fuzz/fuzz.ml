@@ -7,7 +7,6 @@ module Lazy_eval = Axml_core.Lazy_eval
 module Engine = Axml_engine.Engine
 module Exec = Axml_exec.Exec
 module Obs = Axml_obs.Obs
-module Metrics = Axml_obs.Metrics
 module Trace = Axml_obs.Trace
 module Server = Axml_net.Server
 module Client = Axml_net.Client
@@ -279,33 +278,10 @@ let violate oracle fmt =
   Printf.ksprintf (fun detail -> raise (Violation { oracle; detail })) fmt
 
 let reconcile (obs : Obs.t) (r : Engine.report) =
-  let m = obs.Obs.metrics in
-  let ck name got =
-    let counted = Metrics.count m name in
-    if counted <> got then violate "reconcile" "%s: report %d, metrics %d" name got counted
-  in
-  ck "eval.invoked" r.Engine.invoked;
-  ck "eval.pushed" r.Engine.pushed;
-  ck "eval.rounds" r.Engine.rounds;
-  ck "eval.retries" r.Engine.retries;
-  ck "eval.timeouts" r.Engine.timeouts;
-  ck "eval.failed_calls" r.Engine.failed_calls;
-  ck "eval.bytes" r.Engine.bytes_transferred;
-  ck "eval.sharded_calls" r.Engine.sharded_calls;
-  ck "eval.rebalanced_calls" r.Engine.rebalanced_calls;
-  ck "eval.rerouted_calls" r.Engine.rerouted_calls;
-  if not (feq (Metrics.value m "eval.backoff_seconds") r.Engine.backoff_seconds) then
-    violate "reconcile" "backoff_seconds: report %g, metrics %g" r.Engine.backoff_seconds
-      (Metrics.value m "eval.backoff_seconds");
-  let gauge name got =
-    let v = int_of_float (Metrics.value m name) in
-    if v <> got then violate "reconcile" "%s: report %d, metrics %d" name got v
-  in
-  gauge "eval.full_nodes" r.Engine.full_nodes;
-  gauge "eval.view_rebuild_nodes" r.Engine.view_rebuild_nodes;
-  gauge "eval.parallel_match_batches" r.Engine.parallel_match_batches;
-  gauge "eval.projected_nodes" r.Engine.projected_nodes;
-  gauge "eval.projected_bytes_saved" r.Engine.projected_bytes_saved;
+  (match Engine.reconcile obs r with
+  | [] -> ()
+  | (name, report, metric) :: _ ->
+    violate "reconcile" "%s: report %g, metrics %g" name report metric);
   (match Trace.well_formed obs.Obs.trace with
   | Ok () -> ()
   | Error e -> violate "reconcile" "trace not well-formed: %s" e);

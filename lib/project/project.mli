@@ -44,9 +44,6 @@ type stats = {
           elements emptied by the drop) *)
 }
 
-val zero_stats : stats
-val add_stats : stats -> stats -> stats
-
 val compile :
   ?schema:Axml_schema.Schema.t ->
   ?anchor:[ `Root | `Anywhere ] ->

@@ -299,24 +299,10 @@ let rec count_named name (ns : Trace.node list) =
       acc + (if n.Trace.node_name = name then 1 else 0) + count_named name n.Trace.children)
     0 ns
 
+let mismatches = Alcotest.(list (triple string (float 0.0) (float 0.0)))
+
 let check_reconciles name (r : Engine.report) (obs : Obs.t) registry =
-  let m = obs.Obs.metrics in
-  let counter k = int_of_float (Metrics.value m k) in
-  Alcotest.(check int) (name ^ ": eval.invoked metric") r.Engine.invoked
-    (counter "eval.invoked");
-  Alcotest.(check int) (name ^ ": eval.pushed metric") r.Engine.pushed
-    (counter "eval.pushed");
-  Alcotest.(check int) (name ^ ": eval.rounds metric") r.Engine.rounds
-    (counter "eval.rounds");
-  Alcotest.(check int) (name ^ ": eval.retries metric") r.Engine.retries
-    (counter "eval.retries");
-  Alcotest.(check int) (name ^ ": eval.timeouts metric") r.Engine.timeouts
-    (counter "eval.timeouts");
-  Alcotest.(check int)
-    (name ^ ": eval.failed_calls metric")
-    r.Engine.failed_calls (counter "eval.failed_calls");
-  Alcotest.(check int) (name ^ ": eval.bytes metric") r.Engine.bytes_transferred
-    (counter "eval.bytes");
+  Alcotest.check mismatches (name ^ ": report = eval.* metrics") [] (Engine.reconcile obs r);
   (match Trace.well_formed obs.Obs.trace with
   | Ok () -> ()
   | Error e -> Alcotest.fail (name ^ ": trace ill-formed: " ^ e));
@@ -340,6 +326,132 @@ let check_reconciles name (r : Engine.report) (obs : Obs.t) registry =
       (name ^ ": one eval.round span per round")
       r.Engine.rounds
       (count_named "eval.round" forest)
+
+(* ------------------------------------------------------------------ *)
+(* Golden report and metric names. The key sequence of the report JSON
+   and the (name, kind) inventory of the eval.* metrics, pinned from a
+   seeded faulty typed city run and a naive run. These lists are written
+   out by hand, independently of the engine's counter table, so a typo
+   in a table row shows here even though every derived check agrees
+   with it. *)
+
+let report_keys (r : Engine.report) =
+  match Engine.report_to_json r with
+  | Json.Obj fields -> List.map fst fields
+  | _ -> Alcotest.fail "report JSON is not an object"
+
+let eval_inventory (m : Metrics.t) =
+  let snap = Metrics.snapshot m in
+  List.concat_map
+    (fun kind ->
+      List.filter_map
+        (fun entry ->
+          match Json.string_value (Json.member "name" entry) with
+          | Some name when String.starts_with ~prefix:"eval." name -> Some (name, kind)
+          | _ -> None)
+        (Json.to_list (Json.member kind snap)))
+    [ "counters"; "gauges"; "histograms" ]
+
+let golden_keys =
+  [
+    "answers"; "invoked"; "pushed"; "rounds"; "passes"; "relevance_evals";
+    "candidates_checked"; "layer_count"; "simulated_seconds"; "analysis_seconds";
+    "bytes_transferred"; "retries"; "timeouts"; "failed_calls"; "backoff_seconds";
+    "full_nodes"; "projected_nodes"; "projected_bytes_saved"; "sharded_calls";
+    "rebalanced_calls"; "rerouted_calls"; "view_rebuild_nodes"; "parallel_match_batches";
+    "complete";
+  ]
+
+(* snapshot order: counters, gauges, histograms, each sorted by name *)
+let golden_lazy_inventory =
+  [
+    ("eval.backoff_seconds", "counters");
+    ("eval.bytes", "counters");
+    ("eval.invoked", "counters");
+    ("eval.passes", "counters");
+    ("eval.relevance_evals", "counters");
+    ("eval.retries", "counters");
+    ("eval.rounds", "counters");
+    ("eval.timeouts", "counters");
+    ("eval.analysis_seconds", "gauges");
+    ("eval.answers", "gauges");
+    ("eval.complete", "gauges");
+    ("eval.full_nodes", "gauges");
+    ("eval.layer_count", "gauges");
+    ("eval.parallel_match_batches", "gauges");
+    ("eval.projected_bytes_saved", "gauges");
+    ("eval.projected_nodes", "gauges");
+    ("eval.simulated_seconds", "gauges");
+    ("eval.view_rebuild_nodes", "gauges");
+    ("eval.detect_seconds", "histograms");
+  ]
+
+let golden_naive_inventory =
+  [
+    ("eval.backoff_seconds", "counters");
+    ("eval.bytes", "counters");
+    ("eval.invoked", "counters");
+    ("eval.retries", "counters");
+    ("eval.rounds", "counters");
+    ("eval.timeouts", "counters");
+    ("eval.answers", "gauges");
+    ("eval.complete", "gauges");
+    ("eval.full_nodes", "gauges");
+    ("eval.parallel_match_batches", "gauges");
+    ("eval.projected_bytes_saved", "gauges");
+    ("eval.projected_nodes", "gauges");
+    ("eval.simulated_seconds", "gauges");
+    ("eval.view_rebuild_nodes", "gauges");
+  ]
+
+(* Rows the naive run gained when every gauge row became set by
+   [finish]: naive never analyses, so both stay at zero. *)
+let naive_gained = [ ("eval.analysis_seconds", "gauges"); ("eval.layer_count", "gauges") ]
+
+let test_golden_names () =
+  let inventory = Alcotest.(list (pair string string)) in
+  let obs = Obs.create () in
+  let lazy_r, _ = run_city_lazy ~obs None in
+  Alcotest.(check (list string)) "lazy report keys" golden_keys (report_keys lazy_r);
+  Alcotest.check inventory "lazy eval.* inventory" golden_lazy_inventory
+    (eval_inventory obs.Obs.metrics);
+  let obs = Obs.create () in
+  let naive_r, _ = run_city_naive ~obs None in
+  Alcotest.(check (list string)) "naive report keys" golden_keys (report_keys naive_r);
+  Alcotest.check inventory "naive eval.* inventory"
+    (List.sort compare (golden_naive_inventory @ naive_gained))
+    (List.sort compare (eval_inventory obs.Obs.metrics));
+  List.iter
+    (fun (name, _) ->
+      Alcotest.(check (float 0.0))
+        (name ^ " stays zero") 0.0
+        (Metrics.value obs.Obs.metrics name))
+    naive_gained
+
+(* [Engine.reconcile] is derived from the same table as the metrics it
+   checks, so prove it can fail: after a real run, a one-unit drift in
+   any single row's metric is reported as exactly that row. *)
+let test_reconcile_not_vacuous () =
+  List.iter
+    (fun c ->
+      let inst = faulty_city () in
+      let obs = Obs.create () in
+      let r =
+        Lazy_eval.run ~registry:inst.City.registry ~schema:inst.City.schema
+          ~strategy:(Lazy_eval.with_fguide Lazy_eval.nfqa_typed) ~obs inst.City.query
+          inst.City.doc
+      in
+      Alcotest.(check bool) "the F-guide filtered candidates" true
+        (r.Engine.candidates_checked > 0);
+      Alcotest.check mismatches "reconciled before the drift" [] (Engine.reconcile obs r);
+      let m = obs.Obs.metrics and name = Engine.metric c in
+      (match Engine.kind c with
+      | Engine.Counter -> Metrics.add m name 1.0
+      | Engine.Gauge -> Metrics.set m name (Metrics.value m name +. 1.0));
+      Alcotest.(check (list string))
+        (name ^ " drift reported") [ name ]
+        (List.map (fun (n, _, _) -> n) (Engine.reconcile obs r)))
+    Engine.table
 
 let test_reconciliation () =
   List.iter
@@ -585,7 +697,11 @@ let () =
           quick "budget cuts identically at any jobs" test_budget_cut_stable_across_jobs;
         ] );
       ( "reconciliation",
-        [ quick "report = metrics = trace for both strategies" test_reconciliation ] );
+        [
+          quick "report = metrics = trace for both strategies" test_reconciliation;
+          quick "golden report keys and eval.* inventory" test_golden_names;
+          quick "reconcile reports a drift in any row" test_reconcile_not_vacuous;
+        ] );
       ( "memoization",
         [
           quick "pooled duplicates run the behaviour once" test_memo_single_flight;

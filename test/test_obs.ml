@@ -492,6 +492,10 @@ let faulty_city ?(rate = 0.5) () =
     };
   inst
 
+let check_reconciled obs r =
+  Alcotest.(check (list (triple string (float 0.0) (float 0.0))))
+    "report = eval.* metrics" [] (Engine.reconcile obs r)
+
 let test_lazy_reconciliation () =
   let inst = faulty_city () in
   let obs = Obs.create () in
@@ -502,19 +506,8 @@ let test_lazy_reconciliation () =
   (* the workload must actually exercise the fault machinery *)
   Alcotest.(check bool) "faults were hit" true (r.Engine.retries > 0);
   let m = obs.Obs.metrics in
-  (* metrics vs report: the eval.* counters *)
-  Alcotest.(check int) "invoked" r.Engine.invoked (Metrics.count m "eval.invoked");
-  Alcotest.(check int) "pushed" r.Engine.pushed (Metrics.count m "eval.pushed");
-  Alcotest.(check int) "rounds" r.Engine.rounds (Metrics.count m "eval.rounds");
-  Alcotest.(check int) "passes" r.Engine.passes (Metrics.count m "eval.passes");
-  Alcotest.(check int) "detections" r.Engine.relevance_evals
-    (Metrics.count m "eval.relevance_evals");
-  Alcotest.(check int) "retries" r.Engine.retries (Metrics.count m "eval.retries");
-  Alcotest.(check int) "timeouts" r.Engine.timeouts (Metrics.count m "eval.timeouts");
-  Alcotest.(check int) "failed calls" r.Engine.failed_calls (Metrics.count m "eval.failed_calls");
-  Alcotest.(check int) "bytes" r.Engine.bytes_transferred (Metrics.count m "eval.bytes");
-  feq "backoff" r.Engine.backoff_seconds (Metrics.value m "eval.backoff_seconds");
-  feq "simulated seconds" r.Engine.simulated_seconds (Metrics.value m "eval.simulated_seconds");
+  (* metrics vs report: every row of the engine's counter table *)
+  check_reconciled obs r;
   (* the service-layer counters tell the same story from below *)
   Alcotest.(check int) "service invocations"
     (r.Engine.invoked + r.Engine.failed_calls)
@@ -553,12 +546,11 @@ let test_lazy_reconciliation () =
   | Error e -> Alcotest.fail e
   | Ok j ->
     let field k = Option.get (Json.int_value (Json.member k j)) in
-    Alcotest.(check int) "json invoked" (Metrics.count m "eval.invoked") (field "invoked");
-    Alcotest.(check int) "json retries" (Metrics.count m "eval.retries") (field "retries");
-    Alcotest.(check int) "json timeouts" (Metrics.count m "eval.timeouts") (field "timeouts");
-    Alcotest.(check int) "json bytes" (Metrics.count m "eval.bytes") (field "bytes_transferred");
-    feq "json backoff"
-      (Metrics.value m "eval.backoff_seconds")
+    Alcotest.(check int) "json invoked" r.Engine.invoked (field "invoked");
+    Alcotest.(check int) "json retries" r.Engine.retries (field "retries");
+    Alcotest.(check int) "json timeouts" r.Engine.timeouts (field "timeouts");
+    Alcotest.(check int) "json bytes" r.Engine.bytes_transferred (field "bytes_transferred");
+    feq "json backoff" r.Engine.backoff_seconds
       (Option.get (Json.float_value (Json.member "backoff_seconds" j)));
     Alcotest.(check int) "json answers" (List.length r.Engine.answers)
       (List.length (Json.to_list (Json.member "answers" j)))
@@ -567,14 +559,7 @@ let test_naive_reconciliation () =
   let inst = faulty_city () in
   let obs = Obs.create () in
   let r = Engine.naive_run ~obs inst.City.registry inst.City.query inst.City.doc in
-  let m = obs.Obs.metrics in
-  Alcotest.(check int) "invoked" r.Engine.invoked (Metrics.count m "eval.invoked");
-  Alcotest.(check int) "rounds" r.Engine.rounds (Metrics.count m "eval.rounds");
-  Alcotest.(check int) "retries" r.Engine.retries (Metrics.count m "eval.retries");
-  Alcotest.(check int) "timeouts" r.Engine.timeouts (Metrics.count m "eval.timeouts");
-  Alcotest.(check int) "failed" r.Engine.failed_calls (Metrics.count m "eval.failed_calls");
-  Alcotest.(check int) "bytes" r.Engine.bytes_transferred (Metrics.count m "eval.bytes");
-  feq "backoff" r.Engine.backoff_seconds (Metrics.value m "eval.backoff_seconds");
+  check_reconciled obs r;
   (match Trace.tree obs.Obs.trace with
   | Error e -> Alcotest.fail e
   | Ok forest ->

@@ -161,13 +161,8 @@ let prop_projected_answers_equal =
    and the projection counters must reconcile with the metrics sink. *)
 
 let reconcile_projection (obs : Obs.t) (r : Engine.report) =
-  let m = obs.Obs.metrics in
-  let gauge name got =
-    Alcotest.(check int) ("gauge " ^ name) got (int_of_float (Metrics.value m name))
-  in
-  gauge "eval.full_nodes" r.Engine.full_nodes;
-  gauge "eval.projected_nodes" r.Engine.projected_nodes;
-  gauge "eval.projected_bytes_saved" r.Engine.projected_bytes_saved
+  Alcotest.(check (list (triple string (float 0.0) (float 0.0))))
+    "report = eval.* metrics" [] (Engine.reconcile obs r)
 
 let adversary_arm ~project ?obs (cfg : Adversary.config) ~budget ~lazy_strategy =
   let inst = Adversary.generate cfg in
